@@ -8,12 +8,12 @@
 //! `ways` consecutive tags, and the whole tag store lives in a handful of
 //! allocations regardless of cache size.
 //!
-//! The arena reproduces [`CacheSet`](crate::CacheSet) semantics exactly
-//! (same find order, same promotion, same victim choice);
-//! `tests/hotpath_equivalence.rs` drives both against random traces and
-//! asserts identical footprints and eviction order. [`CacheSet`] itself
-//! survives for the reverter's auxiliary tag directory, which probes a
-//! handful of leader sets and is not on the hot path.
+//! Every tag store in the simulator lives in an arena: the set-associative
+//! caches, the sectored L1D and the reverter's auxiliary tag directory.
+//! The one-allocation-per-set LRU stack it replaced is kept only as the
+//! reference model of `tests/hotpath_equivalence.rs`, which drives both
+//! against random traces and asserts the same find order, promotion,
+//! victim choice, footprints and eviction order.
 
 use crate::TagEntry;
 use ldis_mem::{Footprint, WordIndex};
@@ -81,7 +81,7 @@ impl SetArena {
     }
 
     /// The way of `set` holding `tag`, if present and valid. Scans ways in
-    /// ascending order — the same tie-break as `CacheSet::find`.
+    /// ascending order, so the lowest matching way wins.
     #[inline]
     pub fn find(&self, set: usize, tag: u64) -> Option<usize> {
         let base = set * self.ways;
@@ -224,7 +224,7 @@ impl SetArena {
     }
 
     /// The way a new line in `set` should replace: the first invalid way if
-    /// any, otherwise the LRU way — the same policy as `CacheSet::victim_way`.
+    /// any, otherwise the LRU way.
     #[inline]
     pub fn victim_way(&self, set: usize) -> usize {
         let base = set * self.ways;
@@ -301,7 +301,7 @@ impl SetArena {
     }
 
     /// Re-initializes `(set, way)` for a newly installed line, resetting
-    /// footprint and recency bookkeeping exactly like `TagEntry::install`.
+    /// footprint and recency bookkeeping.
     #[inline]
     pub fn install(&mut self, set: usize, way: usize, tag: u64, write: bool, is_instr: bool) {
         let i = self.idx(set, way);
@@ -351,7 +351,7 @@ impl SetArena {
     }
 
     /// OR-merges an external footprint into `(set, way)`; newly set bits
-    /// latch the max position, exactly like `TagEntry::merge_footprint`.
+    /// latch the max position (Section 3).
     #[inline]
     pub fn merge_footprint(&mut self, set: usize, way: usize, fp: Footprint) {
         let i = self.idx(set, way);
@@ -449,60 +449,6 @@ impl SetArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CacheSet;
-
-    #[test]
-    fn find_promote_victim_match_cache_set() {
-        // Drive the arena and the legacy per-set stack through the same
-        // install/promote sequence; every observable must agree.
-        let mut arena = SetArena::new(2, 4);
-        let mut sets = [CacheSet::new(4), CacheSet::new(4)];
-        for step in 0u64..64 {
-            let set = (step % 2) as usize;
-            let tag = step % 6;
-            let legacy = &mut sets[set];
-            assert_eq!(arena.find(set, tag), legacy.find(tag), "step {step}");
-            match legacy.find(tag) {
-                Some(way) => {
-                    assert_eq!(arena.promote(set, way), legacy.promote(way));
-                }
-                None => {
-                    let way = legacy.victim_way();
-                    assert_eq!(arena.victim_way(set), way);
-                    legacy.entry_mut(way).install(tag, false, false);
-                    arena.install(set, way, tag, false, false);
-                    assert_eq!(arena.promote(set, way), legacy.promote(way));
-                }
-            }
-        }
-        for (set, legacy) in sets.iter().enumerate() {
-            for way in 0..4 {
-                assert_eq!(arena.entry(set, way), *legacy.entry(way));
-                assert_eq!(arena.position_of(set, way), Some(legacy.position_of(way)));
-            }
-        }
-    }
-
-    #[test]
-    fn touch_and_merge_latch_positions_like_tag_entry() {
-        let mut arena = SetArena::new(1, 2);
-        let mut reference = TagEntry::invalid();
-        arena.install(0, 0, 9, false, false);
-        reference.install(9, false, false);
-        arena.observe_position(0, 0, 3);
-        reference.observe_position(3);
-        arena.touch_word(0, 0, WordIndex::new(1));
-        reference.touch_word(WordIndex::new(1));
-        arena.observe_position(0, 0, 5);
-        reference.observe_position(5);
-        arena.touch_word(0, 0, WordIndex::new(1)); // not a change
-        reference.touch_word(WordIndex::new(1));
-        assert_eq!(arena.entry(0, 0), reference);
-        arena.merge_footprint(0, 0, Footprint::from_bits(0b110));
-        reference.merge_footprint(Footprint::from_bits(0b110));
-        assert_eq!(arena.entry(0, 0), reference);
-        assert_eq!(arena.entry(0, 0).max_pos_at_change, 5);
-    }
 
     #[test]
     fn dirty_and_invalidate_round_trip() {

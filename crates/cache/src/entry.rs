@@ -1,6 +1,6 @@
 //! A tag-store entry of a line-organized cache.
 
-use ldis_mem::{Footprint, WordIndex};
+use ldis_mem::Footprint;
 
 /// One tag-store entry: validity, tag, dirty bit, the per-line footprint
 /// (Section 3) and the bookkeeping for the Figure 2 recency analysis.
@@ -38,91 +38,5 @@ impl TagEntry {
             max_pos_seen: 0,
             max_pos_at_change: 0,
         }
-    }
-
-    /// Re-initializes the entry for a newly installed line.
-    pub fn install(&mut self, tag: u64, write: bool, is_instr: bool) {
-        *self = TagEntry {
-            valid: true,
-            dirty: write,
-            is_instr,
-            tag,
-            footprint: Footprint::empty(),
-            max_pos_seen: 0,
-            max_pos_at_change: 0,
-        };
-    }
-
-    /// Records that the line was observed at recency position `pos` just
-    /// before being promoted, updating the Figure 2 bookkeeping.
-    pub fn observe_position(&mut self, pos: u8) {
-        self.max_pos_seen = self.max_pos_seen.max(pos);
-    }
-
-    /// Marks `word` used. If the bit was newly set, this is a
-    /// footprint-change: the current `max_pos_seen` is latched.
-    pub fn touch_word(&mut self, word: WordIndex) {
-        if self.footprint.touch(word) {
-            self.max_pos_at_change = self.max_pos_seen;
-        }
-    }
-
-    /// OR-merges an external footprint (an L1D eviction, Section 4.1).
-    /// Newly set bits count as a footprint-change at the line's current
-    /// maximum observed position.
-    pub fn merge_footprint(&mut self, fp: Footprint) {
-        if !self.footprint.covers(fp) {
-            self.max_pos_at_change = self.max_pos_seen;
-        }
-        self.footprint.merge(fp);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn install_resets_state() {
-        let mut e = TagEntry::invalid();
-        e.footprint.touch(WordIndex::new(3));
-        e.max_pos_seen = 5;
-        e.install(42, true, false);
-        assert!(e.valid && e.dirty && !e.is_instr);
-        assert_eq!(e.tag, 42);
-        assert!(e.footprint.is_empty());
-        assert_eq!(e.max_pos_seen, 0);
-        assert_eq!(e.max_pos_at_change, 0);
-    }
-
-    #[test]
-    fn figure2_example_from_the_paper() {
-        // Line A: first footprint-change at position 0, drifts to position
-        // 5, a second footprint-change happens there, then the line is
-        // never accessed again. Recorded value must be 5 (Section 3).
-        let mut e = TagEntry::invalid();
-        e.install(1, false, false);
-        e.observe_position(0);
-        e.touch_word(WordIndex::new(0)); // change #1 at max pos 0
-        assert_eq!(e.max_pos_at_change, 0);
-        e.observe_position(5); // drifted down the stack
-        e.touch_word(WordIndex::new(3)); // change #2, latches max pos 5
-        assert_eq!(e.max_pos_at_change, 5);
-        e.observe_position(7); // drifts further but no more changes
-        e.touch_word(WordIndex::new(3)); // not a change: bit already set
-        assert_eq!(e.max_pos_at_change, 5);
-    }
-
-    #[test]
-    fn merge_latches_position_only_on_new_bits() {
-        let mut e = TagEntry::invalid();
-        e.install(1, false, false);
-        e.touch_word(WordIndex::new(0));
-        e.observe_position(4);
-        e.merge_footprint(Footprint::from_bits(0b1)); // already covered
-        assert_eq!(e.max_pos_at_change, 0);
-        e.merge_footprint(Footprint::from_bits(0b10)); // new bit
-        assert_eq!(e.max_pos_at_change, 4);
-        assert_eq!(e.footprint.used_words(), 2);
     }
 }

@@ -31,14 +31,12 @@ fn subset() -> Vec<Benchmark> {
         .collect()
 }
 
-fn mean_reduction<F>(cfg: &RunConfig, make: F) -> f64
-where
-    F: Fn() -> DistillCache + Sync,
-{
+fn mean_reduction(cfg: &RunConfig, variant: DistillConfig) -> f64 {
     let benches = subset();
-    let pairs = for_each_benchmark(&benches, |b| {
-        let base = run_baseline(b, cfg, 1 << 20);
-        let d = run(b, cfg, &make);
+    let cfg = *cfg;
+    let pairs = for_each_benchmark(&benches, move |b| {
+        let base = run_baseline(b, &cfg, 1 << 20);
+        let d = run(b, &cfg, || DistillCache::new(variant));
         (base.mpki, d.mpki)
     });
     let base: f64 = pairs.iter().map(|p| p.0).sum::<f64>();
@@ -51,9 +49,7 @@ pub fn woc_ways(cfg: &RunConfig) -> Ablation {
     let variants = [1u32, 2, 3]
         .iter()
         .map(|&w| {
-            let red = mean_reduction(cfg, || {
-                DistillCache::new(DistillConfig::hpca2007_default().with_woc_ways(w))
-            });
+            let red = mean_reduction(cfg, DistillConfig::hpca2007_default().with_woc_ways(w));
             (format!("{w} WOC ways"), red)
         })
         .collect();
@@ -69,21 +65,17 @@ pub fn threshold_policy(cfg: &RunConfig) -> Ablation {
     let with_policy = |p: ThresholdPolicy| DistillConfig::hpca2007_default().with_policy(p);
     variants.push((
         "all (no threshold)".to_owned(),
-        mean_reduction(cfg, || DistillCache::new(with_policy(ThresholdPolicy::All))),
+        mean_reduction(cfg, with_policy(ThresholdPolicy::All)),
     ));
     for k in [2u8, 4, 6] {
         variants.push((
             format!("fixed K={k}"),
-            mean_reduction(cfg, || {
-                DistillCache::new(with_policy(ThresholdPolicy::Fixed(k)))
-            }),
+            mean_reduction(cfg, with_policy(ThresholdPolicy::Fixed(k))),
         ));
     }
     variants.push((
         "median".to_owned(),
-        mean_reduction(cfg, || {
-            DistillCache::new(with_policy(ThresholdPolicy::median()))
-        }),
+        mean_reduction(cfg, with_policy(ThresholdPolicy::median())),
     ));
     Ablation {
         name: "distillation threshold policy".into(),
@@ -99,9 +91,10 @@ pub fn woc_replacement(cfg: &RunConfig) -> Ablation {
     ]
     .iter()
     .map(|(label, policy)| {
-        let red = mean_reduction(cfg, || {
-            DistillCache::new(DistillConfig::hpca2007_default().with_woc_replacement(*policy))
-        });
+        let red = mean_reduction(
+            cfg,
+            DistillConfig::hpca2007_default().with_woc_replacement(*policy),
+        );
         ((*label).to_owned(), red)
     })
     .collect();
@@ -116,12 +109,13 @@ pub fn leader_sets(cfg: &RunConfig) -> Ablation {
     let variants = [8u32, 32, 128]
         .iter()
         .map(|&n| {
-            let red = mean_reduction(cfg, || {
-                DistillCache::new(DistillConfig::ldis_mt().with_reverter(ReverterConfig {
+            let red = mean_reduction(
+                cfg,
+                DistillConfig::ldis_mt().with_reverter(ReverterConfig {
                     leader_sets: n,
                     ..ReverterConfig::default()
-                }))
-            });
+                }),
+            );
             (format!("{n} leader sets"), red)
         })
         .collect();

@@ -11,7 +11,7 @@ use ldis_distill::{CostModel, DistillCache, DistillConfig};
 use ldis_workloads::memory_intensive;
 
 /// Per-benchmark energy of the baseline and distill configurations.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CostsRow {
     /// Benchmark name.
     pub benchmark: String,
@@ -27,9 +27,10 @@ pub struct CostsRow {
 pub fn data(cfg: &RunConfig) -> Vec<CostsRow> {
     let model = CostModel::default();
     let benches = memory_intensive();
-    for_each_benchmark(&benches, |b| {
-        let base = run_baseline(b, cfg, 1 << 20);
-        let dist = run(b, cfg, || {
+    let cfg = *cfg;
+    for_each_benchmark(&benches, move |b| {
+        let base = run_baseline(b, &cfg, 1 << 20);
+        let dist = run(b, &cfg, || {
             DistillCache::new(DistillConfig::hpca2007_default())
         });
         let be = model.baseline_energy(&base.l2);

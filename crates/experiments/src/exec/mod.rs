@@ -1,10 +1,12 @@
 //! Crash-safe sweep executor: panic isolation, bounded deterministic
-//! retry, watchdog timeouts and quarantine — the execution layer under
-//! the full benchmark × configuration sweep (`ldis-experiments sweep`).
+//! retry, watchdog timeouts and quarantine. It is the one worker pool in
+//! the workspace: every figure reaches it through
+//! [`for_each_benchmark`](crate::for_each_benchmark) and
+//! [`run_matrix`](crate::run_matrix), and the full benchmark ×
+//! configuration sweep (`ldis-experiments sweep`) drives it directly.
 //!
-//! The plain [`parallel`](crate::parallel) engine already isolates each
-//! cell behind `catch_unwind`; this module turns isolated failures into a
-//! *recovery protocol* instead of a propagated panic:
+//! Each cell attempt runs behind `catch_unwind`, and an isolated failure
+//! enters a *recovery protocol* instead of unwinding through the pool:
 //!
 //! * **Retry.** A panicked cell replays from its derived seed up to
 //!   [`ExecPolicy::max_retries`] more times. Cells are pure functions of
@@ -26,9 +28,9 @@
 //!   `Ok(result)` or a typed [`CellFailure`], and downstream reporting
 //!   (golden comparison, the quarantine report) works over the survivors.
 //!
-//! Results are deterministic at every thread count for the same reason
-//! the plain sweep is: each cell's fate depends only on its own item (and
-//! its injected faults), never on scheduling order.
+//! Results are deterministic at every thread count: each cell's fate
+//! depends only on its own item (and its injected faults), never on
+//! scheduling order, and outcomes land in canonical matrix order.
 //!
 //! Checkpointing lives in [`journal`]: the caller passes the set of
 //! already-completed cells (from a resumed journal) plus an
@@ -36,7 +38,6 @@
 
 pub mod journal;
 
-use crate::parallel::{panic_message, CellPanic};
 use ldis_distill::CellFailure;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -221,7 +222,8 @@ enum Msg<T> {
     },
     Finished {
         cell: usize,
-        outcome: Result<T, CellPanic>,
+        /// The result, or the caught panic's message.
+        outcome: Result<T, String>,
     },
 }
 
@@ -249,14 +251,18 @@ impl<T> Recovery<T> {
 }
 
 /// Runs one attempt of one cell under panic isolation, applying the
-/// fault plan first.
+/// fault plan first. A panic comes back as its message.
+///
+/// `AssertUnwindSafe` is sound here because each job is required to be a
+/// pure function of its item: on panic the partially-built result is
+/// dropped wholesale and nothing the closure touched outlives the catch.
 fn run_cell<I, T, F>(
     items: &[I],
     job: &F,
     faults: &FaultPlan,
     cell: usize,
     attempt: u32,
-) -> Result<T, CellPanic>
+) -> Result<T, String>
 where
     F: Fn(usize, &I) -> T,
 {
@@ -281,9 +287,18 @@ where
             }
         }
     }))
-    .map_err(|payload| CellPanic {
-        message: panic_message(payload.as_ref()),
-    })
+    .map_err(|payload| panic_message(payload.as_ref()))
+}
+
+/// Renders a caught panic payload as a message.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "<non-string panic payload>".to_owned()
+    }
 }
 
 /// Spawns one detached worker pulling tasks from the shared queue.
@@ -453,8 +468,7 @@ where
                                     }))
                                 }
                             } else if state.panics == 0 {
-                                // Clean first run: trusted without replay,
-                                // exactly like the plain sweep.
+                                // Clean first run: trusted without replay.
                                 Some(Ok(value))
                             } else {
                                 // Recovered after panics: confirm by replay.
@@ -471,14 +485,11 @@ where
                                 // The confirmation replay itself panicked.
                                 Some(Err(CellFailure::Nondeterministic {
                                     attempts: state.runs,
-                                    detail: format!(
-                                        "confirmation replay panicked: {}",
-                                        failure.message
-                                    ),
+                                    detail: format!("confirmation replay panicked: {failure}"),
                                 }))
                             } else {
                                 state.panics += 1;
-                                state.last_panic = failure.message;
+                                state.last_panic = failure;
                                 if state.panics <= policy.max_retries {
                                     if state.panics == 1 {
                                         retried += 1;

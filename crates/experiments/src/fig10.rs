@@ -9,7 +9,7 @@ use ldis_workloads::{memory_intensive, TraceLength};
 
 /// Compressibility class fractions for one benchmark: `[1/8, 1/4, 1/2,
 /// full]`, once over all words and once over used words only.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Fig10Row {
     /// Benchmark name.
     pub benchmark: String,
@@ -43,7 +43,8 @@ pub fn data(cfg: &RunConfig) -> Vec<Fig10Row> {
 
 /// The Figure 10 analysis over an explicit benchmark subset.
 pub fn data_for(benches: &[ldis_workloads::Benchmark], cfg: &RunConfig) -> Vec<Fig10Row> {
-    for_each_benchmark(benches, |b| {
+    let cfg = *cfg;
+    for_each_benchmark(benches, move |b| {
         let mut workload = (b.make)(cfg.seed);
         let l2 = BaselineL2::new(baseline_config(1 << 20));
         let mut hier = Hierarchy::hpca2007(l2);

@@ -8,7 +8,7 @@ use ldis_mem::stats::percent_reduction;
 use ldis_workloads::memory_intensive;
 
 /// MPKI reductions over the baseline for the four Figure 11 organizations.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Fig11Row {
     /// Benchmark name.
     pub benchmark: String,
@@ -27,20 +27,23 @@ pub struct Fig11Row {
 /// Runs the Figure 11 matrix.
 pub fn data(cfg: &RunConfig) -> Vec<Fig11Row> {
     let benches = memory_intensive();
-    for_each_benchmark(&benches, |b| {
+    let cfg = *cfg;
+    for_each_benchmark(&benches, move |b| {
         let values = (b.make)(cfg.seed).values();
         let geom = ldis_mem::LineGeometry::default();
         let model = ValueSizeModel::new(values, geom, cfg.seed);
 
-        let base = run_baseline(b, cfg, 1 << 20);
-        let ldis_3x = run(b, cfg, || {
+        let base = run_baseline(b, &cfg, 1 << 20);
+        let ldis_3x = run(b, &cfg, || {
             DistillCache::new(DistillConfig::hpca2007_default())
         });
-        let ldis_4x = run(b, cfg, || {
+        let ldis_4x = run(b, &cfg, || {
             DistillCache::new(DistillConfig::hpca2007_default().with_woc_ways(3))
         });
-        let cmpr = run(b, cfg, || CmprCache::new(CmprConfig::cmpr_4x_tags(), model));
-        let fac = run(b, cfg, || {
+        let cmpr = run(b, &cfg, || {
+            CmprCache::new(CmprConfig::cmpr_4x_tags(), model)
+        });
+        let fac = run(b, &cfg, || {
             fac_cache(DistillConfig::hpca2007_default().with_woc_ways(3), model)
         });
         let red = |m: f64| percent_reduction(base.mpki, m);

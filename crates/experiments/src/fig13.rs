@@ -9,7 +9,7 @@ use ldis_workloads::memory_intensive;
 
 /// MPKI reductions over the baseline for SFP (two predictor sizes) and
 /// LDIS.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Fig13Row {
     /// Benchmark name.
     pub benchmark: String,
@@ -26,11 +26,12 @@ pub struct Fig13Row {
 /// Runs the Figure 13 matrix.
 pub fn data(cfg: &RunConfig) -> Vec<Fig13Row> {
     let benches = memory_intensive();
-    for_each_benchmark(&benches, |b| {
-        let base = run_baseline(b, cfg, 1 << 20);
-        let s16 = run(b, cfg, || SfpCache::new(SfpConfig::sfp_16k()));
-        let s64 = run(b, cfg, || SfpCache::new(SfpConfig::sfp_64k()));
-        let ldis = run(b, cfg, || {
+    let cfg = *cfg;
+    for_each_benchmark(&benches, move |b| {
+        let base = run_baseline(b, &cfg, 1 << 20);
+        let s16 = run(b, &cfg, || SfpCache::new(SfpConfig::sfp_16k()));
+        let s64 = run(b, &cfg, || SfpCache::new(SfpConfig::sfp_64k()));
+        let ldis = run(b, &cfg, || {
             DistillCache::new(DistillConfig::hpca2007_default())
         });
         let red = |m: f64| percent_reduction(base.mpki, m);
@@ -102,7 +103,7 @@ mod tests {
             .filter(|b| matches!(b.name, "health" | "twolf" | "ammp"))
             .collect();
         let cfg = RunConfig::quick().with_accesses(400_000);
-        let rows = for_each_benchmark(&benches, |b| {
+        let rows = for_each_benchmark(&benches, move |b| {
             let base = run_baseline(b, &cfg, 1 << 20);
             let sfp = run(b, &cfg, || SfpCache::new(SfpConfig::sfp_16k()));
             let ldis = run(b, &cfg, || {

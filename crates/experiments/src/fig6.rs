@@ -7,7 +7,7 @@ use ldis_mem::stats::percent_reduction;
 use ldis_workloads::memory_intensive;
 
 /// Per-benchmark MPKI under the baseline and the three LDIS configurations.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Fig6Row {
     /// Benchmark name.
     pub benchmark: String,
@@ -35,11 +35,12 @@ impl Fig6Row {
 /// Runs the Figure 6 matrix: 16 benchmarks × 4 configurations.
 pub fn data(cfg: &RunConfig) -> Vec<Fig6Row> {
     let benches = memory_intensive();
-    for_each_benchmark(&benches, |b| {
-        let base = run_baseline(b, cfg, 1 << 20);
-        let ldis_base = run(b, cfg, || DistillCache::new(DistillConfig::ldis_base()));
-        let ldis_mt = run(b, cfg, || DistillCache::new(DistillConfig::ldis_mt()));
-        let ldis_mt_rc = run(b, cfg, || DistillCache::new(DistillConfig::ldis_mt_rc()));
+    let cfg = *cfg;
+    for_each_benchmark(&benches, move |b| {
+        let base = run_baseline(b, &cfg, 1 << 20);
+        let ldis_base = run(b, &cfg, || DistillCache::new(DistillConfig::ldis_base()));
+        let ldis_mt = run(b, &cfg, || DistillCache::new(DistillConfig::ldis_mt()));
+        let ldis_mt_rc = run(b, &cfg, || DistillCache::new(DistillConfig::ldis_mt_rc()));
         Fig6Row {
             benchmark: b.name.to_owned(),
             base: base.mpki,

@@ -7,7 +7,7 @@ use ldis_distill::{DistillCache, DistillConfig};
 use ldis_workloads::memory_intensive;
 
 /// Access-outcome fractions for one benchmark under both organizations.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Fig7Row {
     /// Benchmark name.
     pub benchmark: String,
@@ -29,9 +29,10 @@ pub struct Fig7Row {
 /// Runs the Figure 7 comparison (baseline vs. LDIS-MT-RC).
 pub fn data(cfg: &RunConfig) -> Vec<Fig7Row> {
     let benches = memory_intensive();
-    for_each_benchmark(&benches, |b| {
-        let base = run_baseline(b, cfg, 1 << 20);
-        let dist = run(b, cfg, || {
+    let cfg = *cfg;
+    for_each_benchmark(&benches, move |b| {
+        let base = run_baseline(b, &cfg, 1 << 20);
+        let dist = run(b, &cfg, || {
             DistillCache::new(DistillConfig::hpca2007_default())
         });
         let da = dist.l2.accesses as f64;

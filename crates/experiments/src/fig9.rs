@@ -9,7 +9,7 @@ use ldis_timing::{workload_factors, L2Timing, SystemConfig, TimingSim};
 use ldis_workloads::memory_intensive;
 
 /// IPC of the baseline and distill systems for one benchmark.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Fig9Row {
     /// Benchmark name.
     pub benchmark: String,
@@ -29,7 +29,8 @@ impl Fig9Row {
 /// Runs the Figure 9 matrix: both timed systems per benchmark.
 pub fn data(cfg: &RunConfig) -> Vec<Fig9Row> {
     let benches = memory_intensive();
-    for_each_benchmark(&benches, |b| {
+    let cfg = *cfg;
+    for_each_benchmark(&benches, move |b| {
         let (dep, br) = workload_factors(b.name);
         let sys = SystemConfig::hpca2007_baseline().with_workload_factors(dep, br);
 
@@ -88,7 +89,7 @@ mod tests {
     fn ipc_pair(name: &str, accesses: u64) -> Fig9Row {
         let b = spec2000::by_name(name).unwrap();
         let cfg = RunConfig::quick().with_accesses(accesses);
-        let rows = for_each_benchmark(&[b], |b| {
+        let rows = for_each_benchmark(&[b], move |b| {
             let (dep, br) = workload_factors(b.name);
             let sys = SystemConfig::hpca2007_baseline().with_workload_factors(dep, br);
             let l2 = BaselineL2::new(baseline_config(1 << 20));

@@ -25,9 +25,7 @@ use std::fs;
 use std::path::PathBuf;
 
 /// The canonical configuration every golden snapshot is computed with:
-/// [`RunConfig::quick`]. The criterion benches in `crates/bench` run the
-/// same configuration so benchmark numbers and snapshots describe the
-/// same work.
+/// [`RunConfig::quick`].
 pub fn golden_config() -> RunConfig {
     RunConfig::quick()
 }

@@ -42,18 +42,19 @@ const CONFIGS: usize = 5;
 
 /// Runs the line-size matrix (1 MB 8-way at 32 B / 64 B / 128 B, plus
 /// LDIS-MT-RC at 64 B and 128 B). Every one of the 16 × 5 cells is an
-/// independent unit of parallel work on the sweep pool, so a single slow
+/// independent unit of parallel work on the executor, so a single slow
 /// benchmark cannot serialize its whole row.
 pub fn data(cfg: &RunConfig) -> Vec<LineSizeRow> {
     let benches = memory_intensive();
-    let matrix = run_matrix(&benches, CONFIGS, |b, config| match config {
-        0 => run(b, cfg, || baseline_with_lines(64)),
-        1 => run(b, cfg, || baseline_with_lines(32)),
-        2 => run(b, cfg, || baseline_with_lines(128)),
-        3 => run(b, cfg, || {
+    let cfg = *cfg;
+    let matrix = run_matrix(&benches, CONFIGS, move |b, config| match config {
+        0 => run(b, &cfg, || baseline_with_lines(64)),
+        1 => run(b, &cfg, || baseline_with_lines(32)),
+        2 => run(b, &cfg, || baseline_with_lines(128)),
+        3 => run(b, &cfg, || {
             DistillCache::new(DistillConfig::hpca2007_default())
         }),
-        _ => run(b, cfg, || DistillCache::new(ldis_config_for_line(128))),
+        _ => run(b, &cfg, || DistillCache::new(ldis_config_for_line(128))),
     });
     benches
         .iter()

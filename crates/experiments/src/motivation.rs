@@ -10,7 +10,7 @@ use ldis_timing::{workload_factors, L2Timing, SystemConfig, TimingSim};
 use ldis_workloads::{memory_intensive, Benchmark};
 
 /// One benchmark's baseline characterization.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BaselineProfile {
     /// Benchmark name.
     pub benchmark: String,
@@ -55,8 +55,9 @@ fn profile_of(b: &Benchmark, r: &RunResult, hist: &Histogram) -> BaselineProfile
 /// Runs the 1 MB baseline for every memory-intensive benchmark.
 pub fn data(cfg: &RunConfig) -> Vec<BaselineProfile> {
     let benches = memory_intensive();
-    for_each_benchmark(&benches, |b| {
-        let (r, words) = run_baseline_with_words(b, cfg, 1 << 20);
+    let cfg = *cfg;
+    for_each_benchmark(&benches, move |b| {
+        let (r, words) = run_baseline_with_words(b, &cfg, 1 << 20);
         profile_of(b, &r, &words)
     })
 }
@@ -67,8 +68,9 @@ pub fn data(cfg: &RunConfig) -> Vec<BaselineProfile> {
 /// seed; compared against `tests/golden/motivation.json`.
 pub fn snapshot(cfg: &RunConfig) -> Json {
     let benches = memory_intensive();
-    let rows = for_each_benchmark(&benches, |b| {
-        let (r, words) = run_baseline_with_words(b, cfg, 1 << 20);
+    let cfg = *cfg;
+    let rows = for_each_benchmark(&benches, move |b| {
+        let (r, words) = run_baseline_with_words(b, &cfg, 1 << 20);
         let p = profile_of(b, &r, &words);
         // IPC of the timed baseline system (Figure 9's reference side),
         // on the same derived-seed convention as every sweep cell.
@@ -211,7 +213,7 @@ mod tests {
             .filter(|b| matches!(b.name, "art" | "swim" | "apsi" | "health"))
             .collect();
         let cfg = RunConfig::quick();
-        for_each_benchmark(&benches, |b| {
+        for_each_benchmark(&benches, move |b| {
             let (r, words) = run_baseline_with_words(b, &cfg, 1 << 20);
             profile_of(b, &r, &words)
         })

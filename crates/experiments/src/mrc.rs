@@ -33,7 +33,8 @@ pub fn all_benchmarks() -> Vec<Benchmark> {
 /// answering every size in [`MRC_SIZES`].
 pub fn data(cfg: &RunConfig) -> Vec<CapacitySweep> {
     let benches = all_benchmarks();
-    for_each_benchmark(&benches, |b| run_capacity_sweep(b, cfg, &MRC_SIZES))
+    let cfg = *cfg;
+    for_each_benchmark(&benches, move |b| run_capacity_sweep(b, &cfg, &MRC_SIZES))
 }
 
 /// Renders the miss-ratio-curve table (MPKI per size).

@@ -1,38 +1,22 @@
-//! Deterministic parallel sweep engine.
+//! Worker-count settings for every sweep.
 //!
 //! Every paper figure walks a benchmark × cache-configuration matrix whose
 //! cells are mutually independent: each cell constructs its own workload
 //! and caches, and draws its randomness from a seed derived with
 //! [`SimRng::derive`](ldis_mem::SimRng::derive) rather than from any
-//! shared stream. That independence is what makes the sweep
-//! embarrassingly parallel *and* reproducible — cells may execute in any
-//! order on any number of threads, and the merged result is bit-identical
-//! because results are always written back into canonical matrix order.
+//! shared stream. Cells therefore run on the crash-safe executor
+//! ([`crate::exec::run_cells`]) in any order on any number of threads, and
+//! the merged result is bit-identical because results are always written
+//! back into canonical matrix order.
 //!
-//! The worker count resolves, in priority order:
+//! This module only decides how many workers that executor gets. The
+//! count resolves, in priority order:
 //!
 //! 1. an explicit [`set_thread_override`] (the binary's `--threads` flag);
 //! 2. the `LDIS_THREADS` environment variable;
 //! 3. [`std::thread::available_parallelism`].
-//!
-//! Workers are plain scoped threads pulling cell indices from an atomic
-//! counter (work stealing without a queue): long cells — mcf's pointer
-//! chases take several times longer than eon's resident hot set — never
-//! stall short ones behind a static partition.
-//!
-//! **Panic isolation.** Every cell runs under `catch_unwind`, so one
-//! panicking cell can never poison the merge or take sibling cells down
-//! with it. [`try_sweep_with_threads`] surfaces each cell's outcome as a
-//! typed `Result<T, CellPanic>`; the infallible [`sweep`] /
-//! [`sweep_with_threads`] wrappers keep the historical contract of
-//! re-raising the first (lowest-index) failure — deterministically, after
-//! every other cell has completed. The crash-safe executor
-//! ([`crate::exec`]) builds retry, watchdog and checkpoint semantics on
-//! top of the same isolation.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// `--threads` override; 0 means "not set".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -69,183 +53,9 @@ pub fn configured_threads() -> usize {
     available_threads()
 }
 
-/// A sweep cell's panic, caught at the cell boundary and converted into a
-/// value instead of unwinding through the worker pool.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CellPanic {
-    /// The panic payload, when it carried a `&str` or `String` message
-    /// (the overwhelmingly common case); a placeholder otherwise.
-    pub message: String,
-}
-
-impl CellPanic {
-    /// The failure recorded when a cell's slot was never filled — a
-    /// harness defect (a worker died outside the catch), never a
-    /// simulation one.
-    fn lost() -> Self {
-        CellPanic {
-            message: "cell result missing: worker terminated outside panic isolation".to_owned(),
-        }
-    }
-}
-
-impl std::fmt::Display for CellPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "sweep cell panicked: {}", self.message)
-    }
-}
-
-impl std::error::Error for CellPanic {}
-
-/// Renders a caught panic payload as a message.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_owned()
-    }
-}
-
-/// Runs one cell under `catch_unwind`, converting a panic into a typed
-/// [`CellPanic`].
-///
-/// `AssertUnwindSafe` is sound here because each job is required to be a
-/// pure function of its item: on panic the partially-built result is
-/// dropped wholesale and nothing the closure touched outlives the catch.
-pub(crate) fn run_isolated<I, T, F>(job: &F, item: &I) -> Result<T, CellPanic>
-where
-    F: Fn(&I) -> T,
-{
-    catch_unwind(AssertUnwindSafe(|| job(item))).map_err(|payload| CellPanic {
-        message: panic_message(payload.as_ref()),
-    })
-}
-
-/// Runs `job` over every item on the configured worker pool and returns
-/// the results in item order. Equivalent to
-/// `items.iter().map(job).collect()` up to wall-clock time: the output is
-/// bit-identical for every thread count as long as each job is a pure
-/// function of its item.
-pub fn sweep<I, T, F>(items: &[I], job: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I) -> T + Sync,
-{
-    sweep_with_threads(configured_threads(), items, job)
-}
-
-/// [`sweep`] with an explicit worker count (used by the serial-vs-parallel
-/// equivalence tests and benchmarks).
-///
-/// # Panics
-///
-/// Re-raises the first failing cell's panic payload (first in canonical
-/// item order, so the choice is deterministic at every thread count) after
-/// all workers have drained. Use [`try_sweep_with_threads`] to receive
-/// per-cell failures as values instead.
-pub fn sweep_with_threads<I, T, F>(threads: usize, items: &[I], job: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I) -> T + Sync,
-{
-    let mut out = Vec::with_capacity(items.len());
-    for result in try_sweep_with_threads(threads, items, job) {
-        match result {
-            Ok(v) => out.push(v),
-            Err(failure) => std::panic::resume_unwind(Box::new(failure.message)),
-        }
-    }
-    out
-}
-
-/// [`sweep_with_threads`] with per-cell panic isolation: each cell's
-/// outcome is returned as `Ok(result)` or `Err(CellPanic)` in canonical
-/// item order. A panicking cell affects nothing but its own slot — sibling
-/// cells run to completion and the merge never sees a poisoned lock.
-pub fn try_sweep_with_threads<I, T, F>(
-    threads: usize,
-    items: &[I],
-    job: F,
-) -> Vec<Result<T, CellPanic>>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I) -> T + Sync,
-{
-    let threads = threads.clamp(1, items.len().max(1));
-    if threads == 1 {
-        return items.iter().map(|item| run_isolated(&job, item)).collect();
-    }
-    // Each completed cell lands in its own slot, so the merge below is a
-    // plain in-order read no matter which worker finished it when.
-    let slots: Vec<Mutex<Option<Result<T, CellPanic>>>> =
-        items.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let result = run_isolated(&job, item);
-                // slots and items have the same length, so the slot exists.
-                // Poisoning is unreachable (job panics are caught before
-                // the lock is taken), but recovery stays typed: the stored
-                // Option is valid regardless of a historical poison flag.
-                if let Some(slot) = slots.get(i) {
-                    let mut guard = slot.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-                    *guard = Some(result);
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .unwrap_or_else(|| Err(CellPanic::lost()))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sweep_preserves_item_order() {
-        let items: Vec<usize> = (0..97).collect();
-        for threads in [1, 2, 4, 16, 200] {
-            let out = sweep_with_threads(threads, &items, |&i| i * 3);
-            let expect: Vec<usize> = items.iter().map(|&i| i * 3).collect();
-            assert_eq!(out, expect, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn sweep_handles_empty_and_single_item() {
-        let empty: Vec<u32> = Vec::new();
-        assert!(sweep_with_threads(4, &empty, |&i| i).is_empty());
-        assert_eq!(sweep_with_threads(4, &[9u32], |&i| i + 1), vec![10]);
-    }
-
-    #[test]
-    fn uneven_cell_costs_do_not_reorder_results() {
-        // Early cells sleep, late cells finish first; the merge must still
-        // return canonical order.
-        let items: Vec<u64> = (0..16).collect();
-        let out = sweep_with_threads(8, &items, |&i| {
-            if i < 4 {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-            }
-            i
-        });
-        assert_eq!(out, items);
-    }
 
     #[test]
     fn configured_threads_is_positive_and_override_wins() {
@@ -254,65 +64,5 @@ mod tests {
         assert_eq!(configured_threads(), 3);
         set_thread_override(None);
         assert!(configured_threads() >= 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "boom")]
-    fn job_panics_propagate_with_their_payload() {
-        let items: Vec<u32> = (0..8).collect();
-        sweep_with_threads(4, &items, |&i| {
-            if i == 5 {
-                panic!("boom");
-            }
-            i
-        });
-    }
-
-    #[test]
-    fn isolated_sweep_quarantines_only_the_panicking_cells() {
-        let items: Vec<u32> = (0..32).collect();
-        for threads in [1, 4] {
-            let out = try_sweep_with_threads(threads, &items, |&i| {
-                assert!(i % 7 != 3, "cell {i} told to fail");
-                i * 2
-            });
-            for (i, result) in out.iter().enumerate() {
-                if i % 7 == 3 {
-                    let failure = result.as_ref().expect_err("cell must have failed");
-                    assert!(failure.message.contains("told to fail"), "{failure}");
-                } else {
-                    assert_eq!(*result, Ok(i as u32 * 2), "threads={threads}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn first_failure_wins_deterministically() {
-        // Multiple failing cells: the propagated payload is always the
-        // lowest-index one, at any thread count.
-        let items: Vec<u32> = (0..16).collect();
-        for threads in [1, 2, 8] {
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                sweep_with_threads(threads, &items, |&i| {
-                    if i == 11 || i == 4 {
-                        panic!("cell {i} failed");
-                    }
-                    i
-                });
-            }))
-            .expect_err("sweep must re-raise");
-            assert_eq!(panic_message(caught.as_ref()), "cell 4 failed");
-        }
-    }
-
-    #[test]
-    fn cell_panic_formats_and_reports_lost_results() {
-        let lost = CellPanic::lost();
-        assert!(lost.to_string().contains("missing"));
-        let e: Box<dyn std::error::Error> = Box::new(CellPanic {
-            message: "boom".into(),
-        });
-        assert!(e.to_string().contains("boom"));
     }
 }

@@ -25,7 +25,7 @@ pub const SCHEMES: &[ProtectionScheme] = &[
 ];
 
 /// One benchmark × scheme × rate campaign point.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ResiliencePoint {
     /// Benchmark name.
     pub benchmark: String,
@@ -96,8 +96,9 @@ fn run_point(
 /// every scheme × rate combination. Deterministic in `cfg.seed`.
 pub fn data(cfg: &RunConfig) -> Vec<ResiliencePoint> {
     let benches = subset();
-    let per_bench = for_each_benchmark(&benches, |b| {
-        let (fault_free, _, _, _) = run_point(b, cfg, None);
+    let cfg = *cfg;
+    let per_bench = for_each_benchmark(&benches, move |b| {
+        let (fault_free, _, _, _) = run_point(b, &cfg, None);
         let mut points = Vec::new();
         for &scheme in SCHEMES {
             for &rate in FAULT_RATES {
@@ -105,7 +106,7 @@ pub fn data(cfg: &RunConfig) -> Vec<ResiliencePoint> {
                     .with_fault_rate(rate)
                     .with_protection(scheme)
                     .with_seed(cfg.seed);
-                let (mpki, faults, events, degraded) = run_point(b, cfg, Some(rcfg));
+                let (mpki, faults, events, degraded) = run_point(b, &cfg, Some(rcfg));
                 points.push(ResiliencePoint {
                     benchmark: b.name.to_owned(),
                     scheme,

@@ -4,14 +4,17 @@
 //! workload seed is derived from `RunConfig.seed`, the benchmark's stable
 //! id and the cache configuration's label via
 //! [`SimRng::derive`](ldis_mem::SimRng::derive). Cells therefore execute
-//! on the [`parallel`](crate::parallel) worker pool in any order while the
-//! merged matrix stays bit-identical for every thread count.
+//! on the crash-safe executor ([`exec::run_cells`]) in any order while
+//! the merged matrix stays bit-identical for every thread count.
 
+use crate::exec::{self, ExecPolicy};
 use crate::parallel;
 use ldis_cache::{BaselineL2, CacheConfig, Hierarchy, HierarchyStats, L2Stats, SecondLevel};
+use ldis_distill::CellFailure;
 use ldis_mem::{stable_id, LineGeometry, SimRng};
 use ldis_mrc::{ConfigResult, MattsonL2, SampledMrc, ShardsConfig, ShardsL2};
 use ldis_workloads::{Benchmark, TraceLength};
+use std::collections::BTreeMap;
 
 /// Global knobs for an experiment run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -185,7 +188,7 @@ pub fn run_baseline_with_words(
 
 /// One traditional cache size's reconstructed statistics within a
 /// [`run_capacity_sweep`] pass.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CapacityPoint {
     /// Cache capacity in bytes.
     pub size_bytes: u64,
@@ -209,7 +212,7 @@ pub struct CapacityPoint {
 /// over that one stream reproduces each size's counters bit for bit.
 /// The differential-oracle suite (`tests/mrc_oracle.rs`) enforces this
 /// equality against direct simulation for the whole quick matrix.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CapacitySweep {
     /// Benchmark name.
     pub benchmark: String,
@@ -375,16 +378,28 @@ pub fn run_sampled_capacity_sweep(
     }
 }
 
-/// Runs one closure per benchmark on the configured worker pool and
+/// Runs one closure per benchmark on the crash-safe executor
+/// ([`exec::run_cells`]) with [`parallel::configured_threads`] workers and
 /// returns the results in benchmark order. The closure receives the
 /// benchmark and must be self-contained (construct its own workload and
-/// caches).
+/// caches); it owns what it captures, so callers copy their
+/// [`RunConfig`] into a `move` closure.
+///
+/// # Panics
+///
+/// If any cell is quarantined, re-raises the lowest-index failure after
+/// every other cell has finished, so the choice is the same at every
+/// thread count.
 pub fn for_each_benchmark<T, F>(benchmarks: &[Benchmark], job: F) -> Vec<T>
 where
-    T: Send,
-    F: Fn(&Benchmark) -> T + Sync,
+    T: Clone + PartialEq + Send + 'static,
+    F: Fn(&Benchmark) -> T + Send + Sync + 'static,
 {
-    parallel::sweep(benchmarks, job)
+    run_all(
+        parallel::configured_threads(),
+        benchmarks.to_vec(),
+        move |_, b| job(b),
+    )
 }
 
 /// Runs a full benchmark × configuration matrix with every *cell* as one
@@ -396,38 +411,51 @@ where
 ///
 /// `job` receives the benchmark and the configuration index `0..configs`
 /// and must be a pure function of the pair.
+///
+/// # Panics
+///
+/// Re-raises the lowest-index quarantined cell's failure, like
+/// [`for_each_benchmark`].
 pub fn run_matrix<T, F>(benchmarks: &[Benchmark], configs: usize, job: F) -> Vec<Vec<T>>
 where
-    T: Send,
-    F: Fn(&Benchmark, usize) -> T + Sync,
+    T: Clone + PartialEq + Send + 'static,
+    F: Fn(&Benchmark, usize) -> T + Send + Sync + 'static,
 {
-    run_matrix_with_threads(parallel::configured_threads(), benchmarks, configs, job)
+    let cells: Vec<(Benchmark, usize)> = benchmarks
+        .iter()
+        .flat_map(|&b| (0..configs).map(move |c| (b, c)))
+        .collect();
+    let mut flat = run_all(parallel::configured_threads(), cells, move |_, (b, c)| {
+        job(b, *c)
+    })
+    .into_iter();
+    benchmarks
+        .iter()
+        .map(|_| flat.by_ref().take(configs).collect())
+        .collect()
 }
 
-/// [`run_matrix`] with an explicit worker count (used by the
-/// serial-vs-parallel equivalence tests and benchmarks).
-pub fn run_matrix_with_threads<T, F>(
-    threads: usize,
-    benchmarks: &[Benchmark],
-    configs: usize,
-    job: F,
-) -> Vec<Vec<T>>
+/// Runs `job` over `items` on [`exec::run_cells`] with `threads` workers
+/// and unwraps the outcomes, re-raising the lowest-index failure. A
+/// panicked cell's payload is its original panic message.
+fn run_all<I, T, F>(threads: usize, items: Vec<I>, job: F) -> Vec<T>
 where
-    T: Send,
-    F: Fn(&Benchmark, usize) -> T + Sync,
+    I: Send + Sync + 'static,
+    T: Clone + PartialEq + Send + 'static,
+    F: Fn(usize, &I) -> T + Send + Sync + 'static,
 {
-    let cells: Vec<(&Benchmark, usize)> = benchmarks
-        .iter()
-        .flat_map(|b| (0..configs).map(move |c| (b, c)))
-        .collect();
-    let mut flat = parallel::sweep_with_threads(threads, &cells, |&(b, c)| job(b, c));
-    let mut rows = Vec::with_capacity(benchmarks.len());
-    for _ in 0..benchmarks.len() {
-        let rest = flat.split_off(configs.min(flat.len()));
-        rows.push(flat);
-        flat = rest;
-    }
-    rows
+    let policy = ExecPolicy::with_threads(threads);
+    exec::run_cells(items, job, &policy, BTreeMap::new(), |_, _| {})
+        .outcomes
+        .into_iter()
+        .map(|outcome| match outcome {
+            Ok(v) => v,
+            Err(CellFailure::Panicked { message, .. }) => {
+                std::panic::resume_unwind(Box::new(message))
+            }
+            Err(failure) => std::panic::resume_unwind(Box::new(failure.to_string())),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -531,5 +559,62 @@ mod tests {
         let benches = spec2000::memory_intensive();
         let names = for_each_benchmark(&benches[..4], |b| b.name.to_owned());
         assert_eq!(names, vec!["art", "mcf", "twolf", "vpr"]);
+        let matrix = run_matrix(&benches[..3], 2, |b, c| (b.name, c));
+        assert_eq!(
+            matrix,
+            vec![
+                vec![("art", 0), ("art", 1)],
+                vec![("mcf", 0), ("mcf", 1)],
+                vec![("twolf", 0), ("twolf", 1)],
+            ]
+        );
+    }
+
+    #[test]
+    fn uneven_cell_costs_do_not_reorder_results() {
+        // Early cells sleep, late cells finish first; the merge must still
+        // return canonical order.
+        let items: Vec<u64> = (0..16).collect();
+        for threads in [1, 2, 4, 16, 200] {
+            let out = run_all(threads, items.clone(), |_, &i| {
+                if i < 4 {
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                }
+                i * 3
+            });
+            let expect: Vec<u64> = items.iter().map(|&i| i * 3).collect();
+            assert_eq!(out, expect, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn empty_and_single_item_inputs() {
+        assert!(run_all(4, Vec::<u32>::new(), |_, &i| i).is_empty());
+        assert_eq!(run_all(4, vec![9u32], |_, &i| i + 1), vec![10]);
+        assert!(for_each_benchmark(&[], |b| b.id).is_empty());
+        assert!(run_matrix(&[], 3, |b, _| b.id).is_empty());
+    }
+
+    #[test]
+    fn lowest_index_failure_is_reraised_at_every_thread_count() {
+        // Two failing cells: the propagated payload is always the
+        // lowest-index one's original message, after the pool drains.
+        let items: Vec<u32> = (0..16).collect();
+        for threads in [1, 2, 8] {
+            let caught = std::panic::catch_unwind(|| {
+                run_all(threads, items.clone(), |_, &i| {
+                    if i == 11 || i == 4 {
+                        panic!("cell {i} failed");
+                    }
+                    i
+                })
+            })
+            .expect_err("run_all must re-raise");
+            assert_eq!(
+                caught.downcast_ref::<String>().map(String::as_str),
+                Some("cell 4 failed"),
+                "threads={threads}"
+            );
+        }
     }
 }

@@ -21,7 +21,8 @@
 //! * **D3** flags floating-point accumulation that merges parallel-sweep
 //!   cell results outside the canonical-order merge: shared
 //!   `Mutex<f64>`-style accumulators, and float `+=`/`sum::<f64>`
-//!   reductions inside closures handed to `sweep`/`spawn`.
+//!   reductions inside closures handed to `run_cells`/
+//!   `for_each_benchmark`/`run_matrix`/`spawn`.
 //! * **S1** (flow-sensitive, over [`crate::cfg`] + [`crate::dataflow`])
 //!   proves seed provenance: every `SimRng::new` argument must be
 //!   derived from the root seed on *every* path (must-analysis), salt
@@ -890,22 +891,14 @@ fn check_body(ws: &Workspace, id: FnId, vars: &VarMap, findings: &mut Vec<Findin
 
 // --- D3: float determinism ------------------------------------------------
 
-/// Files D3 applies to: experiments library sources (minus the canonical
-/// merge itself) and sim-crate sources.
-fn in_d3_scope(path: &str) -> bool {
-    if path == "crates/experiments/src/parallel.rs" {
-        return false; // the canonical-order merge lives here
-    }
-    in_panic_scope(path)
-}
-
-/// Entry points whose closures run on worker threads: accumulating
-/// floats inside them merges cells in completion order.
-const D3_PARALLEL_CALLS: &[&str] = &["sweep", "sweep_with_threads", "spawn"];
+/// Entry points whose closures run on worker threads: the executor
+/// itself, the two figure adapters over it, and raw thread spawns.
+/// Accumulating floats inside them merges cells in completion order.
+const D3_PARALLEL_CALLS: &[&str] = &["run_cells", "for_each_benchmark", "run_matrix", "spawn"];
 
 fn d3(ws: &Workspace, findings: &mut Vec<Finding>) {
     for (idx, file) in ws.files.iter().enumerate() {
-        if !in_d3_scope(&file.path) {
+        if !in_panic_scope(&file.path) {
             continue;
         }
         let toks = &file.tokens;
@@ -936,7 +929,7 @@ fn d3(ws: &Workspace, findings: &mut Vec<Finding>) {
                         t.line,
                         t.col,
                         format!(
-                            "shared `{}` over a float merges parallel cell results in completion order; collect per-cell results and reduce after the canonical-order merge (`parallel::sweep`)",
+                            "shared `{}` over a float merges parallel cell results in completion order; collect per-cell results and reduce after the canonical-order merge (`exec::run_cells`)",
                             t.text
                         ),
                     ));
@@ -1031,8 +1024,9 @@ fn scan_closure_accumulation(
     let file = &ws.files[file_idx];
     let toks = &file.tokens;
     // Only closures merge results in completion order; a plain
-    // `sweep(&items, job)` where `job` is a named fn cannot capture an
-    // accumulator. Require a `|` inside the args before flagging.
+    // `for_each_benchmark(&items, job)` where `job` is a named fn cannot
+    // capture an accumulator. Require a `|` inside the args before
+    // flagging.
     if !toks[range.clone()].iter().any(|t| t.is_punct('|')) {
         return;
     }
@@ -1348,8 +1342,8 @@ fn rhs_makes_rng(toks: &[Token], rhs: Range<usize>) -> bool {
 }
 
 /// Does this statement span hand `var` to a parallel-region closure
-/// (`sweep`/`sweep_with_threads`/`spawn` call whose args contain a `|`
-/// closure mentioning `var`)?
+/// (a [`D3_PARALLEL_CALLS`] call whose args contain a `|` closure
+/// mentioning `var`)?
 fn captures_in_parallel(toks: &[Token], span: Range<usize>, var: &str) -> bool {
     for i in span.clone() {
         let t = &toks[i];
@@ -2523,7 +2517,7 @@ mod tests {
             "crates/experiments/src/fixture.rs",
             "pub fn f(cells: &[u64]) -> f64 {\n\
              let total = Mutex::new(0.0f64);\n\
-             sweep(cells, |c| { let mpki = *c as f64; *total.lock().unwrap() += mpki; });\n\
+             for_each_benchmark(cells, |c| { let mpki = *c as f64; *total.lock().unwrap() += mpki; });\n\
              let t = *total.lock().unwrap(); t\n\
              }\n",
         )]);
@@ -2538,7 +2532,7 @@ mod tests {
         let found = scan(&[(
             "crates/experiments/src/fixture.rs",
             "pub fn f(cells: &[u64]) -> f64 {\n\
-             let per_cell: Vec<f64> = sweep(cells, |c| *c as f64);\n\
+             let per_cell: Vec<f64> = run_matrix(cells, 1, |c, _| *c as f64);\n\
              let mut total = 0.0;\n\
              for v in &per_cell { total += v; }\n\
              total\n\
@@ -2609,7 +2603,7 @@ mod tests {
             "crates/experiments/src/fixture.rs",
             "pub fn f(seed: u64, cells: &[u64]) -> u64 {\n\
              let mut rng = SimRng::new(seed);\n\
-             let out = sweep(cells, |c| c + rng.next_u64());\n\
+             let out = run_cells(cells, |_, c| c + rng.next_u64());\n\
              rng.next_u64() + out[0]\n\
              }\n",
         )]);
@@ -2624,7 +2618,7 @@ mod tests {
             "pub fn f(seed: u64, cells: &[u64]) -> u64 {\n\
              let mut rng = SimRng::new(seed);\n\
              let mut worker = rng.fork();\n\
-             let out = sweep(cells, |c| c + worker.next_u64());\n\
+             let out = run_cells(cells, |_, c| c + worker.next_u64());\n\
              rng.next_u64() + out[0]\n\
              }\n",
         )]);

@@ -15,7 +15,7 @@
 //!   exempt); failures route through `LdisError` or checked accessors.
 //!   **P1X** (warn tier) additionally tracks raw `[...]` indexing.
 //! * **C1 — config invariants**: literal cache configurations in
-//!   examples/benches and the golden snapshots must describe possible
+//!   examples and the golden snapshots must describe possible
 //!   geometries (power-of-two sets and word counts, a LOC/WOC split that
 //!   partitions the associativity, PSEL thresholds on the paper's 64/192
 //!   hysteresis rails).
@@ -71,7 +71,6 @@ pub const SIM_CRATES: &[&str] = &[
 /// | `crates/lint/src/**` | D2 |
 /// | `crates/*/tests/**`, `tests/*.rs` | D2 |
 /// | `examples/*.rs` | D2 C1 |
-/// | `crates/bench/**` (`.rs`) | C1 |
 /// | `tests/golden/*.json` | C1 (snapshot checks) |
 ///
 /// `crates/lint/tests/fixtures/**` holds deliberate violations and is
@@ -105,9 +104,6 @@ pub fn rules_for(rel: &str) -> Option<Vec<Rule>> {
         }
         if krate == "lint" && sub.starts_with("src/") {
             return Some(vec![Rule::D2]);
-        }
-        if krate == "bench" {
-            return Some(vec![Rule::C1]);
         }
         if sub.starts_with("tests/") {
             return Some(vec![Rule::D2]);
@@ -331,10 +327,6 @@ mod tests {
         assert_eq!(
             rules_for("examples/quickstart.rs"),
             Some(vec![Rule::D2, Rule::C1])
-        );
-        assert_eq!(
-            rules_for("crates/bench/benches/figures.rs"),
-            Some(vec![Rule::C1])
         );
         assert_eq!(
             rules_for("tests/golden/motivation.json"),

@@ -9,7 +9,7 @@
 //!   `method` (receiver types are unknowable at token level);
 //! * `Type::method(...)` links to the methods of `impl Type` blocks; if
 //!   the qualifier instead names a module or a workspace crate
-//!   (`parallel::sweep`, `ldis_mem::stable_id`), it links to the free
+//!   (`exec::run_cells`, `ldis_mem::stable_id`), it links to the free
 //!   functions of that module/crate;
 //! * `free(...)` links to same-file functions first, then same-crate free
 //!   functions, then (covering `use other_crate::free`) every free

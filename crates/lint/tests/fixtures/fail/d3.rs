@@ -1,5 +1,6 @@
 //! D3 fail fixture: float accumulation that merges parallel-sweep cell
-//! results in completion order. Scanned as
+//! results in completion order, inside closures handed to the executor
+//! entry points. Scanned as
 //! `crates/experiments/src/fixture.rs`.
 //!
 //! Expected findings: 3 — a shared `Mutex<f64>` accumulator, a float
@@ -8,7 +9,7 @@
 
 pub fn merge(cells: &[u64]) -> f64 {
     let total = Mutex::new(0.0f64);
-    sweep(cells, |c| {
+    for_each_benchmark(cells, |c| {
         let mpki = *c as f64;
         *total.lock().unwrap() += mpki;
     });
@@ -17,5 +18,5 @@ pub fn merge(cells: &[u64]) -> f64 {
 }
 
 pub fn reduce(cells: &[u64]) -> f64 {
-    sweep(cells, |c| (0..*c).map(|x| x as f64).sum::<f64>())
+    run_cells(cells, |_, c| (0..*c).map(|x| x as f64).sum::<f64>())
 }

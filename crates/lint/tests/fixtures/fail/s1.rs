@@ -21,7 +21,7 @@ pub fn branch_killed(seed: u64, flip: bool) -> SimRng {
 /// the post-region draw interleaves with the workers' stream.
 pub fn reuse_after_parallel(seed: u64, cells: &[u64]) -> u64 {
     let mut rng = SimRng::new(seed);
-    let out = sweep(cells, |c| c + rng.next_u64());
+    let out = run_cells(cells, |_, c| c + rng.next_u64());
     rng.next_u64() + out[0]
 }
 

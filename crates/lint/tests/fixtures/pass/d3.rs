@@ -3,7 +3,7 @@
 //! Scanned as `crates/experiments/src/fixture.rs`. Expected findings: 0.
 
 pub fn merge(cells: &[u64]) -> f64 {
-    let per_cell: Vec<f64> = sweep(cells, |c| *c as f64);
+    let per_cell: Vec<f64> = for_each_benchmark(cells, |c| *c as f64);
     let mut total = 0.0;
     for v in &per_cell {
         total += v;
@@ -13,5 +13,5 @@ pub fn merge(cells: &[u64]) -> f64 {
 
 pub fn named_job(cells: &[u64]) -> Vec<f64> {
     // A named fn cannot capture an accumulator: no closure, no finding.
-    sweep(cells, cell_mpki)
+    run_matrix(cells, 1, cell_mpki)
 }

@@ -21,7 +21,7 @@ pub fn re_derived(seed: u64, flip: bool) -> SimRng {
 pub fn forked_worker(seed: u64, cells: &[u64]) -> u64 {
     let mut rng = SimRng::new(seed);
     let mut worker = rng.fork();
-    let out = sweep(cells, |c| c + worker.next_u64());
+    let out = for_each_benchmark(cells, |c| c + worker.next_u64());
     rng.next_u64() + out[0]
 }
 

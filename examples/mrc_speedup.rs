@@ -27,7 +27,7 @@ fn main() {
     );
 
     let t0 = Instant::now();
-    let direct = run_matrix(&benches, sizes.len(), |b, i| {
+    let direct = run_matrix(&benches, sizes.len(), move |b, i| {
         run_baseline_with_words(b, &cfg, sizes[i])
     });
     let direct_time = t0.elapsed();
@@ -37,7 +37,7 @@ fn main() {
     );
 
     let t0 = Instant::now();
-    let sweeps = for_each_benchmark(&benches, |b| run_capacity_sweep(b, &cfg, sizes));
+    let sweeps = for_each_benchmark(&benches, move |b| run_capacity_sweep(b, &cfg, sizes));
     let mattson_time = t0.elapsed();
     println!(
         "mattson ({} passes):      {mattson_time:.2?}",

@@ -1,4 +1,4 @@
-//! The deterministic parallel sweep engine: run the same benchmark ×
+//! The deterministic sweep executor: run the same benchmark ×
 //! configuration matrix serially and on a worker pool, show the speedup,
 //! and prove the results are bit-identical.
 //!
@@ -12,17 +12,18 @@
 
 use line_distillation::distill::{DistillCache, DistillConfig};
 use line_distillation::experiments::{
-    parallel, run, run_baseline, run_matrix_with_threads, RunConfig, RunResult,
+    parallel, run, run_baseline, run_matrix, RunConfig, RunResult,
 };
 use line_distillation::workloads::memory_intensive;
 use std::time::Instant;
 
-fn sweep(threads: usize, cfg: &RunConfig) -> Vec<Vec<RunResult>> {
+fn sweep(threads: usize, cfg: RunConfig) -> Vec<Vec<RunResult>> {
+    parallel::set_thread_override(Some(threads));
     let benches = memory_intensive();
-    run_matrix_with_threads(threads, &benches, 3, |b, config| match config {
-        0 => run_baseline(b, cfg, 1 << 20),
-        1 => run(b, cfg, || DistillCache::new(DistillConfig::ldis_base())),
-        _ => run(b, cfg, || {
+    run_matrix(&benches, 3, move |b, config| match config {
+        0 => run_baseline(b, &cfg, 1 << 20),
+        1 => run(b, &cfg, || DistillCache::new(DistillConfig::ldis_base())),
+        _ => run(b, &cfg, || {
             DistillCache::new(DistillConfig::hpca2007_default())
         }),
     })
@@ -35,12 +36,12 @@ fn main() {
     println!("worker pool: {threads} thread(s) (override with LDIS_THREADS)\n");
 
     let t0 = Instant::now();
-    let serial = sweep(1, &cfg);
+    let serial = sweep(1, cfg);
     let serial_time = t0.elapsed();
     println!("serial   (1 thread):  {serial_time:.2?}");
 
     let t0 = Instant::now();
-    let pooled = sweep(threads, &cfg);
+    let pooled = sweep(threads, cfg);
     let pooled_time = t0.elapsed();
     println!("parallel ({threads} threads): {pooled_time:.2?}");
     println!(

@@ -7,17 +7,26 @@
 //! equal to them:
 //!
 //! * the flat [`SetAssocCache`] against a per-set model built from the
-//!   legacy [`CacheSet`]/[`TagEntry`] structures, over hundreds of
-//!   SimRng-derived random traces — same hits, same footprints, same
-//!   words-used histograms, same eviction order;
+//!   legacy [`CacheSet`] stacks and scalar [`RefEntry`] bookkeeping
+//!   (`tests/support`), over hundreds of SimRng-derived random traces —
+//!   same hits, same footprints, same words-used histograms, same
+//!   eviction order;
+//! * the reverter, whose auxiliary tag directory runs on the arena,
+//!   against a reference ATD of [`CacheSet`] stacks, in lockstep over
+//!   random leader-set traces — same PSEL, ATD misses, flips and
+//!   decision after every access;
 //! * [`Footprint::touch_span`] and the sectored-L1 span masks against the
 //!   historical `for w in first..=last` loop;
 //! * the WOC run-finder bit tricks against a naive aligned-window scan,
 //!   exhaustively over all 2^8 low-byte valid/head patterns;
-//! * a seeded mutation check: an off-by-one span mask (behind the
-//!   test-only `span_mask16_with_mutation` flag) must trip the suite.
+//! * seeded mutation checks: an off-by-one span mask (behind the
+//!   test-only `span_mask16_with_mutation` flag) and a reference ATD that
+//!   installs without promoting must each trip their differential.
 
-use ldis_cache::{CacheConfig, CacheSet, EvictedLine, SetAssocCache};
+mod support;
+
+use ldis_cache::{CacheConfig, EvictedLine, SetArena, SetAssocCache, TagEntry};
+use ldis_distill::{Reverter, ReverterConfig};
 use ldis_mem::bitops::{
     aligned_stride, eligible_aligned_slots, free_aligned_windows, low_mask, span_mask16,
     span_mask16_with_mutation,
@@ -26,9 +35,11 @@ use ldis_mem::rng::{stable_id, SimRng};
 use ldis_mem::stats::Histogram;
 use ldis_mem::{Footprint, LineAddr, LineGeometry, WordIndex};
 
+use support::{CacheSet, RefEntry};
+
 /// The pre-overhaul reference: a set-associative cache whose sets are the
 /// legacy per-set [`CacheSet`] stacks and whose footprint updates go word
-/// by word through [`TagEntry`]'s scalar methods. This is exactly the
+/// by word through [`RefEntry`]'s scalar methods. This is exactly the
 /// structure `SetAssocCache` used before the arena rewrite.
 struct RefCache {
     cfg: CacheConfig,
@@ -235,6 +246,200 @@ fn arena_cache_matches_legacy_per_set_model_on_random_traces() {
         assert_eq!(fast_total.count(bin), slow_total.count(bin), "bin {bin}");
     }
     assert!(fast_total.total() > 0, "traces must produce evictions");
+}
+
+#[test]
+fn arena_find_promote_victim_match_cache_set() {
+    // Drive the arena and the legacy per-set stack through the same
+    // install/promote sequence; every observable must agree.
+    let mut arena = SetArena::new(2, 4);
+    let mut sets = [CacheSet::new(4), CacheSet::new(4)];
+    for step in 0u64..64 {
+        let set = (step % 2) as usize;
+        let tag = step % 6;
+        let legacy = &mut sets[set];
+        assert_eq!(arena.find(set, tag), legacy.find(tag), "step {step}");
+        match legacy.find(tag) {
+            Some(way) => {
+                assert_eq!(arena.promote(set, way), legacy.promote(way));
+            }
+            None => {
+                let way = legacy.victim_way();
+                assert_eq!(arena.victim_way(set), way);
+                legacy.entry_mut(way).install(tag, false, false);
+                arena.install(set, way, tag, false, false);
+                assert_eq!(arena.promote(set, way), legacy.promote(way));
+            }
+        }
+    }
+    for (set, legacy) in sets.iter().enumerate() {
+        for way in 0..4 {
+            assert_eq!(arena.entry(set, way), *legacy.entry(way));
+            assert_eq!(arena.position_of(set, way), Some(legacy.position_of(way)));
+        }
+    }
+}
+
+#[test]
+fn arena_touch_and_merge_latch_positions_like_tag_entry() {
+    let mut arena = SetArena::new(1, 2);
+    let mut reference = TagEntry::invalid();
+    arena.install(0, 0, 9, false, false);
+    reference.install(9, false, false);
+    arena.observe_position(0, 0, 3);
+    reference.observe_position(3);
+    arena.touch_word(0, 0, WordIndex::new(1));
+    reference.touch_word(WordIndex::new(1));
+    arena.observe_position(0, 0, 5);
+    reference.observe_position(5);
+    arena.touch_word(0, 0, WordIndex::new(1)); // not a change
+    reference.touch_word(WordIndex::new(1));
+    assert_eq!(arena.entry(0, 0), reference);
+    arena.merge_footprint(0, 0, Footprint::from_bits(0b110));
+    reference.merge_footprint(Footprint::from_bits(0b110));
+    assert_eq!(arena.entry(0, 0), reference);
+    assert_eq!(arena.entry(0, 0).max_pos_at_change, 5);
+}
+
+/// The reverter of Section 5.5 written out directly: one traditional LRU
+/// [`CacheSet`] per leader set as the auxiliary tag directory, and the
+/// PSEL counter with its 64/192 hysteresis. With `mutated`, a missing line
+/// is installed without being promoted to MRU — the seeded defect the
+/// lockstep differential must catch.
+struct RefReverter {
+    cfg: ReverterConfig,
+    stride: usize,
+    atd: Vec<CacheSet>,
+    psel: u16,
+    enabled: bool,
+    atd_misses: u64,
+    distill_leader_misses: u64,
+    flips: u64,
+    mutated: bool,
+}
+
+impl RefReverter {
+    fn new(cfg: ReverterConfig, num_sets: u64, ways: u32, mutated: bool) -> Self {
+        RefReverter {
+            cfg,
+            stride: (num_sets / u64::from(cfg.leader_sets)) as usize,
+            atd: (0..cfg.leader_sets).map(|_| CacheSet::new(ways)).collect(),
+            psel: cfg.psel_max.div_ceil(2),
+            enabled: true,
+            atd_misses: 0,
+            distill_leader_misses: 0,
+            flips: 0,
+            mutated,
+        }
+    }
+
+    fn observe(&mut self, set: usize, tag: u64, distill_missed: bool) {
+        let atd = &mut self.atd[set / self.stride];
+        let atd_missed = match atd.find(tag) {
+            Some(way) => {
+                atd.promote(way);
+                false
+            }
+            None => {
+                let way = atd.victim_way();
+                atd.entry_mut(way).install(tag, false, false);
+                if !self.mutated {
+                    atd.promote(way);
+                }
+                true
+            }
+        };
+        if distill_missed {
+            self.distill_leader_misses += 1;
+            self.psel = self.psel.saturating_sub(1);
+        }
+        if atd_missed {
+            self.atd_misses += 1;
+            self.psel = (self.psel + 1).min(self.cfg.psel_max);
+        }
+        let next = if self.psel < self.cfg.disable_below {
+            false
+        } else if self.psel > self.cfg.enable_above {
+            true
+        } else {
+            self.enabled
+        };
+        if next != self.enabled {
+            self.flips += 1;
+            self.enabled = next;
+        }
+    }
+}
+
+/// Drives [`Reverter`] and the reference through the same SimRng-derived
+/// leader-set traces, comparing PSEL, ATD misses, distill misses, flips
+/// and the decision after every access. Returns the total decision flips
+/// seen, or the first disagreement.
+fn reverter_lockstep(mutated: bool) -> Result<u64, String> {
+    let mut flips = 0;
+    let mut master = SimRng::new(stable_id("reverter-lockstep"));
+    for trace in 0..60 {
+        let mut rng = SimRng::new(master.next_u64());
+        let leader_sets = [8u32, 32][rng.range(2) as usize];
+        let num_sets = u64::from(leader_sets) << (1 + rng.range(3)); // stride 2, 4 or 8
+        let ways = 1 + rng.range(8) as u32;
+        let cfg = ReverterConfig {
+            leader_sets,
+            ..ReverterConfig::default()
+        };
+        let mut fast = Reverter::new(cfg, num_sets, ways);
+        let mut slow = RefReverter::new(cfg, num_sets, ways, mutated);
+        let stride = (num_sets / u64::from(leader_sets)) as usize;
+        // Few enough tags per set that lines are reused, enough that the
+        // ATD evicts; the distill-miss odds drift per trace so PSEL visits
+        // both rails.
+        let tags = u64::from(ways) + 1 + rng.range(4);
+        let miss_odds = [0.1, 0.5, 0.9][rng.range(3) as usize];
+        for step in 0..2_000 {
+            let set = rng.range(u64::from(leader_sets)) as usize * stride;
+            let tag = rng.range(tags);
+            let distill_missed = rng.chance(miss_odds);
+            fast.observe_leader_access(set, LineAddr::new(tag), distill_missed);
+            slow.observe(set, tag, distill_missed);
+            let got = (
+                fast.psel(),
+                fast.atd_misses,
+                fast.distill_leader_misses,
+                fast.flips,
+                fast.ldis_enabled(),
+            );
+            let want = (
+                slow.psel,
+                slow.atd_misses,
+                slow.distill_leader_misses,
+                slow.flips,
+                slow.enabled,
+            );
+            if got != want {
+                return Err(format!(
+                    "trace {trace} step {step}: reverter {got:?} vs reference {want:?}"
+                ));
+            }
+        }
+        flips += fast.flips;
+    }
+    Ok(flips)
+}
+
+#[test]
+fn reverter_atd_matches_cache_set_reference_in_lockstep() {
+    match reverter_lockstep(false) {
+        Ok(flips) => assert!(flips > 0, "the traces must drive PSEL across both rails"),
+        Err(e) => panic!("{e}"),
+    }
+}
+
+#[test]
+fn seeded_reverter_mutation_trips_the_lockstep() {
+    assert!(
+        reverter_lockstep(true).is_err(),
+        "a reference ATD that installs without promoting must be detected"
+    );
 }
 
 /// The per-word span reference — the loop `touch_span` replaced.

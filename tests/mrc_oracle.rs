@@ -11,10 +11,15 @@
 //! canonical quick configuration. The suite runs under `LDIS_THREADS=1`
 //! and `=4` in CI; the derived-seed scheme keeps both byte-identical.
 
+use line_distillation::distill::{DistillCache, DistillConfig};
+use line_distillation::experiments::appendix::{self, Table5Row, Table6Row};
+use line_distillation::experiments::fig8::{self, Fig8Row};
 use line_distillation::experiments::{
-    appendix, fig8, for_each_benchmark, golden, mrc, run_baseline_with_words, run_capacity_sweep,
-    run_matrix,
+    for_each_benchmark, golden, mrc, run, run_baseline, run_baseline_with_words,
+    run_capacity_sweep, run_matrix, RunConfig,
 };
+use line_distillation::mem::stats::percent_reduction;
+use line_distillation::workloads::{cache_insensitive, memory_intensive};
 
 /// Oracle-vs-simulator equality over the full quick matrix: all 27
 /// benchmarks × {0.5, 0.75, 1, 1.5, 2, 4} MB. One Mattson pass per
@@ -23,8 +28,10 @@ use line_distillation::experiments::{
 fn oracle_matches_direct_simulation_for_every_benchmark_and_size() {
     let cfg = golden::golden_config();
     let benches = mrc::all_benchmarks();
-    let sweeps = for_each_benchmark(&benches, |b| run_capacity_sweep(b, &cfg, &mrc::MRC_SIZES));
-    let direct = run_matrix(&benches, mrc::MRC_SIZES.len(), |b, i| {
+    let sweeps = for_each_benchmark(&benches, move |b| {
+        run_capacity_sweep(b, &cfg, &mrc::MRC_SIZES)
+    });
+    let direct = run_matrix(&benches, mrc::MRC_SIZES.len(), move |b, i| {
         run_baseline_with_words(b, &cfg, mrc::MRC_SIZES[i])
     });
     assert_eq!(sweeps.len(), benches.len());
@@ -64,39 +71,132 @@ fn oracle_matches_direct_simulation_for_every_benchmark_and_size() {
     }
 }
 
-/// The rewired Figure 8 must render byte-identically to the pre-rewire
-/// per-size simulations (the committed golden was generated from the
-/// direct path).
+/// The pre-rewire Figure 8 matrix: one direct baseline simulation per
+/// traditional size.
+fn fig8_direct(cfg: RunConfig) -> Vec<Fig8Row> {
+    for_each_benchmark(&memory_intensive(), move |b| {
+        let base = run_baseline(b, &cfg, 1 << 20);
+        let distill = run(b, &cfg, || {
+            DistillCache::new(DistillConfig::hpca2007_default())
+        });
+        let t15 = run_baseline(b, &cfg, 3 << 19);
+        let t20 = run_baseline(b, &cfg, 2 << 20);
+        Fig8Row {
+            benchmark: b.name.to_owned(),
+            base: base.mpki,
+            distill: percent_reduction(base.mpki, distill.mpki),
+            trad_1_5mb: percent_reduction(base.mpki, t15.mpki),
+            trad_2mb: percent_reduction(base.mpki, t20.mpki),
+        }
+    })
+}
+
+/// The pre-rewire Table 5 matrix: one direct baseline simulation per
+/// traditional size.
+fn table5_direct(cfg: RunConfig) -> Vec<Table5Row> {
+    for_each_benchmark(&cache_insensitive(), move |b| {
+        let t1 = run_baseline(b, &cfg, 1 << 20);
+        let l1 = run(b, &cfg, || {
+            DistillCache::new(DistillConfig::hpca2007_default())
+        });
+        let t2 = run_baseline(b, &cfg, 2 << 20);
+        let t4 = run_baseline(b, &cfg, 4 << 20);
+        Table5Row {
+            benchmark: b.name.to_owned(),
+            trad_1mb: t1.mpki,
+            ldis_1mb: l1.mpki,
+            trad_2mb: t2.mpki,
+            trad_4mb: t4.mpki,
+            paper_trad_1mb: b.paper_mpki,
+        }
+    })
+}
+
+/// The pre-rewire Table 6 sweep: one direct simulation per size.
+fn table6_direct(cfg: RunConfig) -> Vec<Table6Row> {
+    for_each_benchmark(&memory_intensive(), move |b| {
+        let mut avg_words = [0.0; 5];
+        for (slot, &size) in avg_words.iter_mut().zip(&appendix::TABLE6_SIZES) {
+            let (_, words) = run_baseline_with_words(b, &cfg, size);
+            *slot = words.mean();
+        }
+        Table6Row {
+            benchmark: b.name.to_owned(),
+            avg_words,
+            paper_1mb: b.paper_avg_words,
+        }
+    })
+}
+
+/// The float fields of a row as bit patterns, so a `NaN` fallback
+/// compares equal to itself and `-0.0` differs from `0.0`.
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The rewired Figure 8 must equal the pre-rewire per-size simulations
+/// bit for bit (the committed golden was generated from the direct
+/// path).
 #[test]
 fn rewired_fig8_is_byte_identical_to_direct_simulations() {
     let cfg = golden::golden_config();
-    assert_eq!(
-        fig8::snapshot(&cfg).render_pretty(),
-        fig8::snapshot_direct(&cfg).render_pretty(),
-        "single-pass Figure 8 diverged from per-size simulation"
-    );
+    let rewired = fig8::data(&cfg);
+    let direct = fig8_direct(cfg);
+    assert_eq!(rewired.len(), direct.len());
+    for (r, d) in rewired.iter().zip(&direct) {
+        assert_eq!(r.benchmark, d.benchmark);
+        assert_eq!(
+            bits(&[r.base, r.distill, r.trad_1_5mb, r.trad_2mb]),
+            bits(&[d.base, d.distill, d.trad_1_5mb, d.trad_2mb]),
+            "{}: single-pass Figure 8 diverged from per-size simulation",
+            r.benchmark
+        );
+    }
 }
 
-/// The rewired Table 5 must render byte-identically to the pre-rewire
-/// per-size simulations.
+/// The rewired Table 5 must equal the pre-rewire per-size simulations.
 #[test]
 fn rewired_table5_is_byte_identical_to_direct_simulations() {
     let cfg = golden::golden_config();
-    assert_eq!(
-        appendix::table5_snapshot(&cfg).render_pretty(),
-        appendix::table5_snapshot_direct(&cfg).render_pretty(),
-        "single-pass Table 5 diverged from per-size simulation"
-    );
+    let rewired = appendix::table5_data(&cfg);
+    let direct = table5_direct(cfg);
+    assert_eq!(rewired.len(), direct.len());
+    let fields = |r: &Table5Row| {
+        bits(&[
+            r.trad_1mb,
+            r.ldis_1mb,
+            r.trad_2mb,
+            r.trad_4mb,
+            r.paper_trad_1mb,
+        ])
+    };
+    for (r, d) in rewired.iter().zip(&direct) {
+        assert_eq!(r.benchmark, d.benchmark);
+        assert_eq!(
+            fields(r),
+            fields(d),
+            "{}: single-pass Table 5 diverged from per-size simulation",
+            r.benchmark
+        );
+    }
 }
 
-/// The rewired Table 6 words-used sweep must render byte-identically to
-/// the pre-rewire per-size simulations.
+/// The rewired Table 6 words-used sweep must equal the pre-rewire
+/// per-size simulations, including its `NaN` fallback bit pattern.
 #[test]
 fn rewired_table6_is_byte_identical_to_direct_simulations() {
     let cfg = golden::golden_config();
-    assert_eq!(
-        appendix::table6_snapshot(&cfg).render_pretty(),
-        appendix::table6_snapshot_direct(&cfg).render_pretty(),
-        "single-pass Table 6 diverged from per-size simulation"
-    );
+    let rewired = appendix::table6_data(&cfg);
+    let direct = table6_direct(cfg);
+    assert_eq!(rewired.len(), direct.len());
+    for (r, d) in rewired.iter().zip(&direct) {
+        assert_eq!(r.benchmark, d.benchmark);
+        assert_eq!(
+            bits(&r.avg_words),
+            bits(&d.avg_words),
+            "{}: single-pass Table 6 diverged from per-size simulation",
+            r.benchmark
+        );
+        assert_eq!(r.paper_1mb.to_bits(), d.paper_1mb.to_bits());
+    }
 }

@@ -16,14 +16,16 @@
 //! `crates/mrc/src/shards.rs` were calibrated from that output with
 //! ≥ 1.5× margin.
 
+use line_distillation::experiments::exec::{run_cells, ExecPolicy};
 use line_distillation::experiments::mrc as emrc;
 use line_distillation::experiments::{
-    for_each_benchmark, parallel, run_capacity_sweep, run_sampled_capacity_sweep, RunConfig,
+    for_each_benchmark, run_capacity_sweep, run_sampled_capacity_sweep, RunConfig,
     SampledCapacitySweep,
 };
 use line_distillation::mrc::{
     check_bounded_error, epsilon_miss_ratio, mpki_tolerance, ShardsConfig,
 };
+use std::collections::BTreeMap;
 
 const ORACLE_RATES: [f64; 3] = [0.1, 0.01, 0.001];
 
@@ -39,11 +41,13 @@ fn oracle_config() -> RunConfig {
 fn sampled_oracle_bounded_error_for_every_benchmark_size_and_rate() {
     let cfg = oracle_config();
     let benches = emrc::all_benchmarks();
-    let exact = for_each_benchmark(&benches, |b| run_capacity_sweep(b, &cfg, &emrc::MRC_SIZES));
+    let exact = for_each_benchmark(&benches, move |b| {
+        run_capacity_sweep(b, &cfg, &emrc::MRC_SIZES)
+    });
     let print_err = std::env::var("LDIS_PRINT_ERR").is_ok_and(|v| v == "1");
     for rate in ORACLE_RATES {
         let shards = ShardsConfig::at_rate(rate);
-        let sampled = for_each_benchmark(&benches, |b| {
+        let sampled = for_each_benchmark(&benches, move |b| {
             run_sampled_capacity_sweep(b, &cfg, &emrc::MRC_SIZES, &shards)
         });
         let mut max_err_mr = 0.0f64;
@@ -98,11 +102,21 @@ fn sampled_sweep_is_bit_identical_across_thread_counts() {
     let cfg = oracle_config();
     let benches = emrc::all_benchmarks();
     let shards = ShardsConfig::at_rate(0.01);
-    let job = |b: &line_distillation::workloads::Benchmark| {
-        run_sampled_capacity_sweep(b, &cfg, &emrc::MRC_SIZES, &shards)
+    let sweep = |threads: usize| -> Vec<SampledCapacitySweep> {
+        run_cells(
+            benches.clone(),
+            move |_, b| run_sampled_capacity_sweep(b, &cfg, &emrc::MRC_SIZES, &shards),
+            &ExecPolicy::with_threads(threads),
+            BTreeMap::new(),
+            |_, _| {},
+        )
+        .outcomes
+        .into_iter()
+        .map(|o| o.expect("clean sweep must not quarantine"))
+        .collect()
     };
-    let serial: Vec<SampledCapacitySweep> = parallel::sweep_with_threads(1, &benches, job);
-    let pooled: Vec<SampledCapacitySweep> = parallel::sweep_with_threads(4, &benches, job);
+    let serial = sweep(1);
+    let pooled = sweep(4);
     assert_eq!(serial.len(), pooled.len());
     for (a, b) in serial.iter().zip(&pooled) {
         assert_eq!(a, b, "{} diverged across thread counts", a.benchmark);

@@ -1,30 +1,44 @@
-//! Serial-vs-parallel equivalence: the sweep engine must produce
+//! Serial-vs-parallel equivalence: the executor must produce
 //! bit-identical result matrices for every worker count, because each
 //! (benchmark, configuration) cell derives its randomness independently
 //! and results merge in canonical matrix order.
 
 use line_distillation::distill::{DistillCache, DistillConfig};
-use line_distillation::experiments::{
-    run, run_baseline, run_matrix_with_threads, RunConfig, RunResult,
-};
+use line_distillation::experiments::exec::{run_cells, ExecPolicy};
+use line_distillation::experiments::{run, run_baseline, RunConfig, RunResult};
 use line_distillation::workloads::memory_intensive;
+use std::collections::BTreeMap;
 
 /// A small but non-trivial quick sweep: 6 benchmarks × 3 configurations,
 /// mixing cheap and expensive benchmarks so parallel completion order
-/// genuinely differs from canonical order.
+/// genuinely differs from canonical order. Returns one row of 3 cells
+/// per benchmark.
 fn quick_sweep(threads: usize) -> Vec<Vec<RunResult>> {
-    let benches: Vec<_> = memory_intensive()
+    let cells: Vec<_> = memory_intensive()
         .into_iter()
         .filter(|b| matches!(b.name, "art" | "mcf" | "twolf" | "apsi" | "swim" | "health"))
+        .flat_map(|b| (0..3).map(move |config| (b, config)))
         .collect();
     let cfg = RunConfig::quick().with_accesses(60_000);
-    run_matrix_with_threads(threads, &benches, 3, |b, config| match config {
-        0 => run_baseline(b, &cfg, 1 << 20),
-        1 => run(b, &cfg, || DistillCache::new(DistillConfig::ldis_base())),
-        _ => run(b, &cfg, || {
-            DistillCache::new(DistillConfig::hpca2007_default())
-        }),
-    })
+    let report = run_cells(
+        cells,
+        move |_, (b, config)| match config {
+            0 => run_baseline(b, &cfg, 1 << 20),
+            1 => run(b, &cfg, || DistillCache::new(DistillConfig::ldis_base())),
+            _ => run(b, &cfg, || {
+                DistillCache::new(DistillConfig::hpca2007_default())
+            }),
+        },
+        &ExecPolicy::with_threads(threads),
+        BTreeMap::new(),
+        |_, _| {},
+    );
+    let flat: Vec<RunResult> = report
+        .outcomes
+        .into_iter()
+        .map(|o| o.expect("clean matrix must not quarantine"))
+        .collect();
+    flat.chunks(3).map(<[RunResult]>::to_vec).collect()
 }
 
 #[test]

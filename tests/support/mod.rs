@@ -1,6 +1,60 @@
-//! One set of a set-associative cache: entries plus a true-LRU stack.
+//! Reference models kept only for the differential tests.
+//!
+//! [`CacheSet`] is the original one-allocation-per-set LRU stack and
+//! [`RefEntry`] the scalar, word-at-a-time [`TagEntry`] bookkeeping of the
+//! paper's Section 3. The simulator itself runs on the flat
+//! [`SetArena`](ldis_cache::SetArena); these structures are the oracle the
+//! arena, the set-associative cache and the reverter's auxiliary tag
+//! directory are checked against.
 
-use crate::TagEntry;
+use ldis_cache::TagEntry;
+use ldis_mem::{Footprint, WordIndex};
+
+/// The scalar per-entry mutators: install, observe a recency position,
+/// touch one word, merge an external footprint.
+pub trait RefEntry {
+    /// Re-initializes the entry for a newly installed line.
+    fn install(&mut self, tag: u64, write: bool, is_instr: bool);
+    /// Records that the line was observed at recency position `pos` just
+    /// before being promoted, updating the Figure 2 bookkeeping.
+    fn observe_position(&mut self, pos: u8);
+    /// Marks `word` used. If the bit was newly set, this is a
+    /// footprint-change: the current `max_pos_seen` is latched.
+    fn touch_word(&mut self, word: WordIndex);
+    /// OR-merges an external footprint (an L1D eviction, Section 4.1).
+    /// Newly set bits count as a footprint-change at the line's current
+    /// maximum observed position.
+    fn merge_footprint(&mut self, fp: Footprint);
+}
+
+impl RefEntry for TagEntry {
+    fn install(&mut self, tag: u64, write: bool, is_instr: bool) {
+        *self = TagEntry {
+            valid: true,
+            dirty: write,
+            is_instr,
+            tag,
+            ..TagEntry::invalid()
+        };
+    }
+
+    fn observe_position(&mut self, pos: u8) {
+        self.max_pos_seen = self.max_pos_seen.max(pos);
+    }
+
+    fn touch_word(&mut self, word: WordIndex) {
+        if self.footprint.touch(word) {
+            self.max_pos_at_change = self.max_pos_seen;
+        }
+    }
+
+    fn merge_footprint(&mut self, fp: Footprint) {
+        if !self.footprint.covers(fp) {
+            self.max_pos_at_change = self.max_pos_seen;
+        }
+        self.footprint.merge(fp);
+    }
+}
 
 /// A cache set: `ways` tag entries plus an explicit recency stack.
 ///
@@ -40,15 +94,10 @@ impl CacheSet {
     }
 
     /// The recency position of `way` (0 = MRU).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `way` is out of range.
     pub fn position_of(&self, way: usize) -> u8 {
         self.order
             .iter()
             .position(|&w| w as usize == way)
-            // ldis: allow(T1, "position over the recency order, whose length is ways, asserted 1..=255 in new()")
             .expect("way must be a member of the recency order") as u8
     }
 
@@ -71,46 +120,26 @@ impl CacheSet {
     }
 
     /// Shared access to the entry in `way`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `way` is out of range — an out-of-range way is a caller
-    /// bug, never a data-dependent condition.
     pub fn entry(&self, way: usize) -> &TagEntry {
-        &self.entries[way] // ldis: allow(P1X, "documented panic contract of the way accessor")
+        &self.entries[way]
     }
 
     /// Exclusive access to the entry in `way`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `way` is out of range.
     pub fn entry_mut(&mut self, way: usize) -> &mut TagEntry {
-        &mut self.entries[way] // ldis: allow(P1X, "documented panic contract of the way accessor")
-    }
-
-    /// Iterates over all entries (valid and invalid).
-    pub fn iter(&self) -> impl Iterator<Item = &TagEntry> {
-        self.entries.iter()
+        &mut self.entries[way]
     }
 
     /// The way index at recency position `pos` (0 = MRU).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pos` is not a valid recency position.
     pub fn way_at_position(&self, pos: u8) -> usize {
-        self.order[pos as usize] as usize // ldis: allow(P1X, "documented panic contract of the recency accessor")
+        self.order[pos as usize] as usize
     }
 
-    /// Returns the recency order as way indices, MRU first. Primarily for
-    /// tests and invariant checks.
+    /// Returns the recency order as way indices, MRU first.
     pub fn recency_order(&self) -> &[u8] {
         &self.order
     }
 }
 
-#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -189,5 +218,49 @@ mod tests {
     #[should_panic(expected = "1..=255")]
     fn rejects_zero_ways() {
         let _ = CacheSet::new(0);
+    }
+
+    #[test]
+    fn install_resets_state() {
+        let mut e = TagEntry::invalid();
+        e.footprint.touch(WordIndex::new(3));
+        e.max_pos_seen = 5;
+        e.install(42, true, false);
+        assert!(e.valid && e.dirty && !e.is_instr);
+        assert_eq!(e.tag, 42);
+        assert!(e.footprint.is_empty());
+        assert_eq!(e.max_pos_seen, 0);
+        assert_eq!(e.max_pos_at_change, 0);
+    }
+
+    #[test]
+    fn figure2_example_from_the_paper() {
+        // Line A: first footprint-change at position 0, drifts to position
+        // 5, a second footprint-change happens there, then the line is
+        // never accessed again. Recorded value must be 5 (Section 3).
+        let mut e = TagEntry::invalid();
+        e.install(1, false, false);
+        e.observe_position(0);
+        e.touch_word(WordIndex::new(0)); // change #1 at max pos 0
+        assert_eq!(e.max_pos_at_change, 0);
+        e.observe_position(5); // drifted down the stack
+        e.touch_word(WordIndex::new(3)); // change #2, latches max pos 5
+        assert_eq!(e.max_pos_at_change, 5);
+        e.observe_position(7); // drifts further but no more changes
+        e.touch_word(WordIndex::new(3)); // not a change: bit already set
+        assert_eq!(e.max_pos_at_change, 5);
+    }
+
+    #[test]
+    fn merge_latches_position_only_on_new_bits() {
+        let mut e = TagEntry::invalid();
+        e.install(1, false, false);
+        e.touch_word(WordIndex::new(0));
+        e.observe_position(4);
+        e.merge_footprint(Footprint::from_bits(0b1)); // already covered
+        assert_eq!(e.max_pos_at_change, 0);
+        e.merge_footprint(Footprint::from_bits(0b10)); // new bit
+        assert_eq!(e.max_pos_at_change, 4);
+        assert_eq!(e.footprint.used_words(), 2);
     }
 }
