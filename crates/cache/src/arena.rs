@@ -14,9 +14,18 @@
 //! reference model of `tests/hotpath_equivalence.rs`, which drives both
 //! against random traces and asserts the same find order, promotion,
 //! victim choice, footprints and eviction order.
+//!
+//! Apart from the read accessors, `invalidate` and the fault model's
+//! `set_footprint`, every operation is fused: [`SetArena::hit_update`]
+//! (probe, promote, footprint, dirty), [`SetArena::merge_update`] (the
+//! L1D → L2 footprint merge), [`SetArena::install_evict`] (victim choice,
+//! snapshot, re-initialization, promotion) and [`SetArena::touch_mru`]
+//! (the sectored L1D's memoized same-line hit, which needs neither probe
+//! nor promotion). Promotion is one move-to-front shift over the order
+//! prefix up to the hit way.
 
 use crate::TagEntry;
-use ldis_mem::{Footprint, WordIndex};
+use ldis_mem::Footprint;
 
 /// Flattened per-way state for `num_sets * ways` cache entries.
 ///
@@ -41,6 +50,22 @@ pub struct SetArena {
 const VALID: u8 = 1 << 0;
 const DIRTY: u8 = 1 << 1;
 const INSTR: u8 = 1 << 2;
+
+/// Moves the last way of a recency-order prefix to its front (MRU) and
+/// shifts the others back one position: `remove(pos)` + `insert(0, way)`
+/// on a per-set stack, as one pass over the prefix. `slice::rotate_right`
+/// does the same through the general-purpose `ptr_rotate`, which is sized
+/// for long slices, not for prefixes of at most `ways` bytes.
+#[inline(always)]
+fn move_to_front(prefix: &mut [u8]) {
+    let Some(&last) = prefix.last() else {
+        return;
+    };
+    let mut carry = last;
+    for slot in prefix {
+        carry = std::mem::replace(slot, carry);
+    }
+}
 
 impl SetArena {
     /// Creates an empty arena of `num_sets` sets with `ways` ways each.
@@ -104,34 +129,15 @@ impl SetArena {
             .map(|p| p as u8)
     }
 
-    /// Promotes `way` of `set` to MRU, returning its recency position
-    /// *before* the promotion (the position an access observes, Section 3).
-    /// Returns 0 without mutating if the coordinates are out of range.
-    #[inline]
-    pub fn promote(&mut self, set: usize, way: usize) -> u8 {
-        let base = set * self.ways;
-        let Some(order) = self.order.get_mut(base..base + self.ways) else {
-            return 0;
-        };
-        let Some(pos) = order.iter().position(|&w| w as usize == way) else {
-            return 0;
-        };
-        if let Some(prefix) = order.get_mut(..=pos) {
-            // Equivalent to remove(pos) + insert(0, way) on the per-set stack.
-            prefix.rotate_right(1);
-        }
-        // ldis: allow(T1, "position over the per-set order slice, whose length is ways, asserted 1..=255 in new()")
-        pos as u8
-    }
-
     /// The fused hit path: finds `tag` in `set` and, on a hit, promotes the
     /// way to MRU, ORs `span` into its footprint and sets the dirty bit for
-    /// writes — one base computation and one slice per array instead of a
-    /// find/promote/touch/or_dirty call chain. With `latch` the Figure 2
-    /// recency bookkeeping also runs: the pre-promotion position is
-    /// observed, and newly set footprint bits latch the maximum position,
-    /// exactly like `observe_position` + `touch_word`. Returns the hit way,
-    /// or `None` on a miss (or out-of-range `set`).
+    /// writes, with one base computation and one slice per array. With
+    /// `latch` the Figure 2 recency bookkeeping also runs: the
+    /// pre-promotion position is observed (the line's maximum position
+    /// seen grows to it), and if `span` sets a new footprint bit the
+    /// maximum position is latched as the position at the last footprint
+    /// change. Returns the hit way, or `None` on a miss (or out-of-range
+    /// `set`).
     #[inline]
     pub fn hit_update(
         &mut self,
@@ -155,7 +161,7 @@ impl SetArena {
         // ldis: allow(T1, "position over the per-set order slice, whose length is ways, asserted 1..=255 in new()")
         let pos = order.iter().position(|&w| w as usize == way)? as u8;
         if let Some(prefix) = order.get_mut(..=pos as usize) {
-            prefix.rotate_right(1);
+            move_to_front(prefix);
         }
         if latch {
             let seen = match self.pos_seen.get_mut(i) {
@@ -186,9 +192,10 @@ impl SetArena {
 
     /// The fused footprint-merge path (the L1D → LOC merge of Section 4.1):
     /// finds `tag` in `set` and, on a hit, OR-merges `bits` into the
-    /// footprint (newly set bits latch the max position, exactly like
-    /// `merge_footprint`) and sets the dirty bit when `dirty`. Recency is
-    /// **not** updated. Returns whether the line was resident.
+    /// footprint (newly set bits latch the maximum position seen, as in
+    /// [`hit_update`](SetArena::hit_update)) and sets the dirty bit when
+    /// `dirty`. Recency is **not** updated. Returns whether the line was
+    /// resident.
     #[inline]
     pub fn merge_update(&mut self, set: usize, tag: u64, bits: u16, dirty: bool) -> bool {
         let base = set.wrapping_mul(self.ways);
@@ -223,32 +230,14 @@ impl SetArena {
         true
     }
 
-    /// The way a new line in `set` should replace: the first invalid way if
-    /// any, otherwise the LRU way.
-    #[inline]
-    pub fn victim_way(&self, set: usize) -> usize {
-        let base = set * self.ways;
-        let Some(meta) = self.meta.get(base..base + self.ways) else {
-            return 0;
-        };
-        if let Some(way) = meta.iter().position(|&m| m & VALID == 0) {
-            return way;
-        }
-        self.order
-            .get(base..base + self.ways)
-            .and_then(|order| order.last())
-            .map_or(0, |&w| w as usize)
-    }
-
     /// The fused install path: picks the victim way of `set` (first
     /// invalid way, else LRU), snapshots the displaced entry,
     /// re-initializes the way for `tag` with `span` as the initial
-    /// footprint (the demand words; the fresh-install latch is position 0,
-    /// exactly like `install` + `touch_word` on an empty footprint) and
-    /// promotes it to MRU — one pass instead of a
-    /// victim/entry/install/touch/promote call chain. Returns the chosen
-    /// way and the displaced entry (invalid if the way was empty). An
-    /// out-of-range `set` mutates nothing and returns way 0.
+    /// footprint (the demand words; both recency latches start at position
+    /// 0, where a fresh install is observed) and promotes it to MRU, in one
+    /// pass. Returns the chosen way and the displaced entry (invalid if the
+    /// way was empty). An out-of-range `set` mutates nothing and returns
+    /// way 0.
     #[inline]
     pub fn install_evict(
         &mut self,
@@ -293,95 +282,26 @@ impl SetArena {
         if let Some(order) = self.order.get_mut(base..end) {
             if let Some(pos) = order.iter().position(|&w| w as usize == way) {
                 if let Some(prefix) = order.get_mut(..=pos) {
-                    prefix.rotate_right(1);
+                    move_to_front(prefix);
                 }
             }
         }
         (way, victim)
     }
 
-    /// Re-initializes `(set, way)` for a newly installed line, resetting
-    /// footprint and recency bookkeeping.
+    /// The memoized hit path of the sectored L1D: ORs `span` into the
+    /// footprint of `(set, way)` and sets its dirty bit for writes, with no
+    /// tag probe and no recency update. Only exact for a valid way already
+    /// at MRU of a cache that runs [`hit_update`](SetArena::hit_update)
+    /// without `latch`: promoting position 0 is the identity, so this is
+    /// that call's effect on the same line. Out-of-range coordinates are
+    /// ignored.
     #[inline]
-    pub fn install(&mut self, set: usize, way: usize, tag: u64, write: bool, is_instr: bool) {
-        let i = self.idx(set, way);
-        if let Some(t) = self.tags.get_mut(i) {
-            *t = tag;
-        }
-        if let Some(m) = self.meta.get_mut(i) {
-            *m = VALID | if write { DIRTY } else { 0 } | if is_instr { INSTR } else { 0 };
-        }
-        if let Some(fp) = self.footprints.get_mut(i) {
-            *fp = 0;
-        }
-        if let Some(p) = self.pos_seen.get_mut(i) {
-            *p = 0;
-        }
-        if let Some(p) = self.pos_change.get_mut(i) {
-            *p = 0;
-        }
-    }
-
-    /// Records that `(set, way)` was observed at recency position `pos`
-    /// just before promotion (Figure 2 bookkeeping).
-    #[inline]
-    pub fn observe_position(&mut self, set: usize, way: usize, pos: u8) {
-        let i = self.idx(set, way);
-        if let Some(p) = self.pos_seen.get_mut(i) {
-            *p = (*p).max(pos);
-        }
-    }
-
-    /// Marks `word` used in `(set, way)`. A newly set bit is a
-    /// footprint-change: the current max position is latched (Section 3).
-    #[inline]
-    pub fn touch_word(&mut self, set: usize, way: usize, word: WordIndex) {
-        let i = self.idx(set, way);
-        let Some(fp) = self.footprints.get_mut(i) else {
-            return;
-        };
-        let mask = 1u16 << word.get();
-        if *fp & mask == 0 {
-            *fp |= mask;
-            let seen = self.pos_seen.get(i).copied().unwrap_or(0);
-            if let Some(p) = self.pos_change.get_mut(i) {
-                *p = seen;
-            }
-        }
-    }
-
-    /// OR-merges an external footprint into `(set, way)`; newly set bits
-    /// latch the max position (Section 3).
-    #[inline]
-    pub fn merge_footprint(&mut self, set: usize, way: usize, fp: Footprint) {
-        let i = self.idx(set, way);
-        let Some(cur) = self.footprints.get_mut(i) else {
-            return;
-        };
-        if *cur & fp.bits() != fp.bits() {
-            let seen = self.pos_seen.get(i).copied().unwrap_or(0);
-            if let Some(p) = self.pos_change.get_mut(i) {
-                *p = seen;
-            }
-        }
-        *cur |= fp.bits();
-    }
-
-    /// OR-merges raw footprint bits into `(set, way)` without touching the
-    /// recency bookkeeping — the sectored L1's per-access span update,
-    /// where only the accumulated footprint matters (Section 4.2).
-    #[inline]
-    pub fn or_footprint_bits(&mut self, set: usize, way: usize, bits: u16) {
+    pub fn touch_mru(&mut self, set: usize, way: usize, span: u16, write: bool) {
         let i = self.idx(set, way);
         if let Some(fp) = self.footprints.get_mut(i) {
-            *fp |= bits;
+            *fp |= span;
         }
-    }
-
-    /// Sets the dirty bit of `(set, way)` when `write` is true.
-    #[inline]
-    pub fn or_dirty(&mut self, set: usize, way: usize, write: bool) {
-        let i = self.idx(set, way);
         if write {
             if let Some(m) = self.meta.get_mut(i) {
                 *m |= DIRTY;
@@ -450,67 +370,59 @@ impl SetArena {
 mod tests {
     use super::*;
 
-    #[test]
-    fn dirty_and_invalidate_round_trip() {
-        let mut arena = SetArena::new(1, 2);
-        arena.install(0, 1, 7, false, true);
-        assert!(arena.entry(0, 1).is_instr);
-        arena.or_dirty(0, 1, false);
-        assert!(!arena.entry(0, 1).dirty);
-        arena.or_dirty(0, 1, true);
-        assert!(arena.entry(0, 1).dirty);
-        assert!(arena.is_valid(0, 1));
-        arena.invalidate(0, 1);
-        assert!(!arena.is_valid(0, 1));
-        assert_eq!(arena.find(0, 7), None, "invalid entries never match");
+    /// Installs `tags` into set 0 in order, so the last one ends at MRU.
+    fn filled(ways: u32, tags: &[u64]) -> SetArena {
+        let mut arena = SetArena::new(1, ways);
+        for &tag in tags {
+            arena.install_evict(0, tag, 0, false, false);
+        }
+        arena
+    }
+
+    fn order(arena: &SetArena) -> Vec<Option<u8>> {
+        (0..arena.ways()).map(|w| arena.position_of(0, w)).collect()
     }
 
     #[test]
-    fn hit_update_matches_the_unfused_call_chain() {
-        // Drive two arenas through the same random-ish trace: one via the
-        // fused hit path, one via find/promote/observe/touch/or_dirty. Every
-        // entry and the recency order must stay identical.
-        let mut fused = SetArena::new(2, 4);
-        let mut unfused = SetArena::new(2, 4);
-        for step in 0u64..200 {
-            let set = (step % 2) as usize;
-            let tag = step * 7 % 9;
-            let word = WordIndex::new((step % 8) as u8);
-            let write = step % 3 == 0;
-            let got = fused.hit_update(set, tag, 1u16 << word.get(), write, true);
-            match unfused.find(set, tag) {
-                Some(way) => {
-                    let pos = unfused.promote(set, way);
-                    unfused.observe_position(set, way, pos);
-                    unfused.touch_word(set, way, word);
-                    unfused.or_dirty(set, way, write);
-                    assert_eq!(got, Some(way), "step {step}");
-                }
-                None => {
-                    assert_eq!(got, None, "step {step}");
-                    let way = unfused.victim_way(set);
-                    assert_eq!(fused.victim_way(set), way);
-                    unfused.install(set, way, tag, write, false);
-                    unfused.promote(set, way);
-                    fused.install(set, way, tag, write, false);
-                    fused.promote(set, way);
-                }
-            }
-        }
-        for set in 0..2 {
-            for way in 0..4 {
-                assert_eq!(fused.entry(set, way), unfused.entry(set, way));
-                assert_eq!(fused.position_of(set, way), unfused.position_of(set, way));
-            }
-        }
+    fn dirty_and_invalidate_round_trip() {
+        let mut arena = SetArena::new(1, 2);
+        assert_eq!(arena.install_evict(0, 7, 0, false, true).0, 0);
+        assert!(arena.entry(0, 0).is_instr);
+        arena.touch_mru(0, 0, 0, false);
+        assert!(!arena.entry(0, 0).dirty);
+        arena.touch_mru(0, 0, 0, true);
+        assert!(arena.entry(0, 0).dirty);
+        assert!(arena.is_valid(0, 0));
+        arena.invalidate(0, 0);
+        assert!(!arena.is_valid(0, 0));
+        assert_eq!(arena.find(0, 7), None, "invalid entries never match");
+        assert_eq!(
+            arena.install_evict(0, 8, 0, false, false).0,
+            0,
+            "the invalid way is refilled before the LRU way"
+        );
+    }
+
+    #[test]
+    fn promotion_moves_the_hit_way_to_the_front() {
+        // Install order 0,1,2,3 → recency order (MRU..LRU) = 3,2,1,0.
+        let mut arena = filled(4, &[10, 11, 12, 13]);
+        assert_eq!(order(&arena), [Some(3), Some(2), Some(1), Some(0)]);
+        // Way 1 at position 2: ways 3 and 2 shift back one, way 0 stays.
+        assert_eq!(arena.hit_update(0, 11, 0, false, false), Some(1));
+        assert_eq!(order(&arena), [Some(3), Some(0), Some(2), Some(1)]);
+        // Promoting the MRU way changes nothing.
+        assert_eq!(arena.hit_update(0, 11, 0, false, false), Some(1));
+        assert_eq!(order(&arena), [Some(3), Some(0), Some(2), Some(1)]);
+        // The LRU way (way 0) is the victim; the newcomer lands at MRU.
+        let (way, victim) = arena.install_evict(0, 14, 0, false, false);
+        assert_eq!((way, victim.tag), (0, 10));
+        assert_eq!(order(&arena), [Some(0), Some(1), Some(3), Some(2)]);
     }
 
     #[test]
     fn hit_update_without_latch_skips_recency_bookkeeping() {
-        let mut arena = SetArena::new(1, 2);
-        arena.install(0, 0, 5, false, false);
-        arena.install(0, 1, 6, false, false);
-        arena.promote(0, 1); // way 0 now at position 1
+        let mut arena = filled(2, &[5, 6]); // way 0 (tag 5) at position 1
         let way = arena.hit_update(0, 5, 0b100, true, false);
         assert_eq!(way, Some(0));
         let e = arena.entry(0, 0);
@@ -524,22 +436,40 @@ mod tests {
     }
 
     #[test]
+    fn touch_mru_is_the_unlatched_hit_on_the_mru_way() {
+        let mut memo = filled(2, &[5, 6]);
+        let mut probed = memo.clone();
+        for (span, write) in [(0b1, false), (0b110, true), (0b1, false)] {
+            memo.touch_mru(0, 1, span, write);
+            assert_eq!(probed.hit_update(0, 6, span, write, false), Some(1));
+        }
+        for way in 0..2 {
+            assert_eq!(memo.entry(0, way), probed.entry(0, way));
+        }
+        assert_eq!(order(&memo), order(&probed));
+    }
+
+    #[test]
     fn out_of_range_coordinates_are_inert() {
         let mut arena = SetArena::new(2, 2);
         assert_eq!(arena.find(5, 0), None);
         assert_eq!(arena.position_of(5, 0), None);
-        assert_eq!(arena.promote(5, 0), 0);
-        assert_eq!(arena.victim_way(5), 0);
-        arena.install(5, 0, 1, true, true); // must not panic
-        arena.touch_word(5, 0, WordIndex::new(0));
+        assert_eq!(arena.hit_update(5, 0, 1, true, true), None);
+        assert!(!arena.merge_update(5, 0, 1, true));
+        let (way, victim) = arena.install_evict(5, 1, 1, true, true);
+        assert_eq!(way, 0);
+        assert!(!victim.valid);
+        arena.touch_mru(5, 0, 1, true); // must not panic
+        arena.touch_mru(0, 9, 1, true);
         assert!(!arena.entry(5, 0).valid);
+        assert_eq!(arena.entry(0, 0), TagEntry::invalid());
     }
 
     #[test]
     fn set_footprint_bypasses_recency_latch() {
-        let mut arena = SetArena::new(1, 1);
-        arena.install(0, 0, 1, false, false);
-        arena.observe_position(0, 0, 7);
+        let mut arena = filled(2, &[1, 2]);
+        assert_eq!(arena.hit_update(0, 1, 0, false, true), Some(0));
+        assert_eq!(arena.entry(0, 0).max_pos_seen, 1);
         arena.set_footprint(0, 0, Footprint::full(8));
         let e = arena.entry(0, 0);
         assert_eq!(e.footprint.used_words(), 8);

@@ -4,8 +4,14 @@
 //! the paper uses a sectored L1D: each line carries per-word valid bits.
 //! An access to an invalid word of a resident line is a *sector miss* and
 //! triggers a request to the L2 for the missing sector.
+//!
+//! The trace generators emit one access per touched word of a line visit,
+//! so most L1D accesses go to the line the previous access touched. The
+//! cache therefore memoizes that line's way (way memoization, Ishihara &
+//! Fallah): a repeat access skips the set index, the tag probe and the
+//! promotion. The memo is exact, not a prediction; see [`SectoredCache`].
 
-use crate::{CacheConfig, SetArena};
+use crate::{CacheConfig, SetArena, TagEntry};
 use ldis_mem::bitops::span_mask16;
 use ldis_mem::{Footprint, LineAddr, WordIndex};
 
@@ -41,6 +47,17 @@ pub struct EvictedL1Line {
 /// the per-word valid bits are a parallel flat array indexed the same way
 /// (`set * ways + way`), so an access touches only contiguous storage.
 ///
+/// **Way memo.** The cache remembers `(line, set, way)` of the last line
+/// that [`access`](SectoredCache::access) hit or sector-missed, or that
+/// [`fill`](SectoredCache::fill)/[`fill_demand`](SectoredCache::fill_demand)
+/// installed; each of those calls leaves that line at MRU (recency
+/// position 0) of its set. [`fill_words`](SectoredCache::fill_words)
+/// changes only valid bits, and [`invalidate`](SectoredCache::invalidate)
+/// and a miss clear the memo, so while it is set its line is resident at
+/// MRU. An access to that line then only ORs the span into the footprint,
+/// sets dirty on a write and checks the valid bits: promoting position 0
+/// is the identity, and the L1D keeps no recency latches.
+///
 /// # Example
 ///
 /// ```
@@ -60,6 +77,16 @@ pub struct SectoredCache {
     arena: SetArena,
     /// Per-word valid bits, one `u16` per `(set, way)` (bit *i* = word *i*).
     valid_words: Vec<u16>,
+    /// The line last hit, sector-missed or filled; resident at MRU.
+    memo: Option<Memo>,
+}
+
+/// Where the memoized line lives.
+#[derive(Clone, Copy, Debug)]
+struct Memo {
+    line: LineAddr,
+    set: usize,
+    way: usize,
 }
 
 impl SectoredCache {
@@ -72,6 +99,7 @@ impl SectoredCache {
             cfg,
             arena,
             valid_words,
+            memo: None,
         }
     }
 
@@ -85,32 +113,57 @@ impl SectoredCache {
         set * self.arena.ways() + way
     }
 
+    /// The `(set, way)` holding `line`, if resident: the memo when it names
+    /// `line`, else a tag probe.
+    #[inline]
+    fn locate(&self, line: LineAddr) -> Option<(usize, usize)> {
+        match self.memo {
+            Some(m) if m.line == line => Some((m.set, m.way)),
+            _ => {
+                let set = self.cfg.set_index(line);
+                let way = self.arena.find(set, self.cfg.tag(line))?;
+                Some((set, way))
+            }
+        }
+    }
+
+    /// Hit if every word of `span` is valid in `(set, way)`, else a sector
+    /// miss.
+    #[inline]
+    fn classify(&self, set: usize, way: usize, span: u16) -> L1Lookup {
+        let valid = self
+            .valid_words
+            .get(self.slot(set, way))
+            .copied()
+            .unwrap_or(0);
+        if span & !valid == 0 {
+            L1Lookup::Hit
+        } else {
+            L1Lookup::SectorMiss
+        }
+    }
+
     /// Classifies an access to words `first..=last` of `line` without
     /// changing any state.
     pub fn lookup(&self, line: LineAddr, first: WordIndex, last: WordIndex) -> L1Lookup {
-        let set = self.cfg.set_index(line);
-        match self.arena.find(set, self.cfg.tag(line)) {
+        match self.locate(line) {
             None => L1Lookup::Miss,
-            Some(way) => {
-                let valid = self
-                    .valid_words
-                    .get(self.slot(set, way))
-                    .copied()
-                    .unwrap_or(0);
-                if span_mask16(first.get(), last.get()) & !valid == 0 {
-                    L1Lookup::Hit
-                } else {
-                    L1Lookup::SectorMiss
-                }
-            }
+            Some((set, way)) => self.classify(set, way, span_mask16(first.get(), last.get())),
         }
+    }
+
+    /// The recency position of `line` in its set (0 = MRU), if resident.
+    pub fn position_of(&self, line: LineAddr) -> Option<u8> {
+        let (set, way) = self.locate(line)?;
+        self.arena.position_of(set, way)
     }
 
     /// Performs an access to words `first..=last`: on a full hit, promotes
     /// the line, records the words in the footprint and sets the dirty bit
     /// for writes. On a sector miss the footprint/dirty update still happens
     /// (the processor *will* use the words once the sector arrives) but the
-    /// caller must fetch the missing words via [`fill_words`].
+    /// caller must fetch the missing words via [`fill_words`]. An access
+    /// to the memoized line skips the tag probe and the promotion.
     ///
     /// [`fill_words`]: SectoredCache::fill_words
     pub fn access(
@@ -120,24 +173,25 @@ impl SectoredCache {
         last: WordIndex,
         write: bool,
     ) -> L1Lookup {
-        let set = self.cfg.set_index(line);
         let span = span_mask16(first.get(), last.get());
+        if let Some(m) = self.memo {
+            if m.line == line {
+                self.arena.touch_mru(m.set, m.way, span, write);
+                return self.classify(m.set, m.way, span);
+            }
+        }
+        let set = self.cfg.set_index(line);
         match self
             .arena
             .hit_update(set, self.cfg.tag(line), span, write, false)
         {
-            None => L1Lookup::Miss,
+            None => {
+                self.memo = None;
+                L1Lookup::Miss
+            }
             Some(way) => {
-                let valid = self
-                    .valid_words
-                    .get(self.slot(set, way))
-                    .copied()
-                    .unwrap_or(0);
-                if span & !valid == 0 {
-                    L1Lookup::Hit
-                } else {
-                    L1Lookup::SectorMiss
-                }
+                self.memo = Some(Memo { line, set, way });
+                self.classify(set, way, span)
             }
         }
     }
@@ -153,20 +207,29 @@ impl SectoredCache {
             "filling a resident line"
         );
         let (way, entry) = self.arena.install_evict(set, tag, 0, false, false);
-        let victim = if entry.valid {
-            Some(EvictedL1Line {
-                line: self.cfg.line_of(set, entry.tag),
-                footprint: entry.footprint,
-                dirty: entry.dirty,
-            })
-        } else {
-            None
-        };
+        self.installed(line, set, way, valid_words, &entry)
+    }
+
+    /// Sets the valid words of the way `line` was just installed in,
+    /// memoizes it and turns the displaced entry into an eviction record.
+    fn installed(
+        &mut self,
+        line: LineAddr,
+        set: usize,
+        way: usize,
+        valid_words: Footprint,
+        displaced: &TagEntry,
+    ) -> Option<EvictedL1Line> {
         let slot = self.slot(set, way);
         if let Some(v) = self.valid_words.get_mut(slot) {
             *v = valid_words.bits();
         }
-        victim
+        self.memo = Some(Memo { line, set, way });
+        displaced.valid.then(|| EvictedL1Line {
+            line: self.cfg.line_of(set, displaced.tag),
+            footprint: displaced.footprint,
+            dirty: displaced.dirty,
+        })
     }
 
     /// Installs `line` with the given valid words *and* records the demand
@@ -191,41 +254,21 @@ impl SectoredCache {
         );
         let span = span_mask16(first.get(), last.get());
         let (way, entry) = self.arena.install_evict(set, tag, span, write, false);
-        let victim = if entry.valid {
-            Some(EvictedL1Line {
-                line: self.cfg.line_of(set, entry.tag),
-                footprint: entry.footprint,
-                dirty: entry.dirty,
-            })
-        } else {
-            None
-        };
-        let slot = self.slot(set, way);
-        if let Some(v) = self.valid_words.get_mut(slot) {
-            *v = valid_words.bits();
-        }
-        let lookup = if span & !valid_words.bits() == 0 {
-            L1Lookup::Hit
-        } else {
-            L1Lookup::SectorMiss
-        };
-        (victim, lookup)
+        let victim = self.installed(line, set, way, valid_words, &entry);
+        (victim, self.classify(set, way, span))
     }
 
     /// Adds valid words to a resident line (a sector fill). Returns whether
     /// the line was resident.
     pub fn fill_words(&mut self, line: LineAddr, valid_words: Footprint) -> bool {
-        let set = self.cfg.set_index(line);
-        match self.arena.find(set, self.cfg.tag(line)) {
-            Some(way) => {
-                let slot = self.slot(set, way);
-                if let Some(v) = self.valid_words.get_mut(slot) {
-                    *v |= valid_words.bits();
-                }
-                true
-            }
-            None => false,
+        let Some((set, way)) = self.locate(line) else {
+            return false;
+        };
+        let slot = self.slot(set, way);
+        if let Some(v) = self.valid_words.get_mut(slot) {
+            *v |= valid_words.bits();
         }
+        true
     }
 
     /// Whether every word in `first..=last` of `line` is valid.
@@ -233,10 +276,12 @@ impl SectoredCache {
         self.lookup(line, first, last) == L1Lookup::Hit
     }
 
-    /// Invalidates `line` if resident, returning its eviction record.
+    /// Invalidates `line` if resident, returning its eviction record. Clears
+    /// the memo.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<EvictedL1Line> {
-        let set = self.cfg.set_index(line);
-        let way = self.arena.find(set, self.cfg.tag(line))?;
+        let resident = self.locate(line);
+        self.memo = None;
+        let (set, way) = resident?;
         let entry = self.arena.entry(set, way);
         self.arena.invalidate(set, way);
         Some(EvictedL1Line {
@@ -345,6 +390,19 @@ mod tests {
         let ev = c.invalidate(line).unwrap();
         assert!(ev.dirty);
         assert!(ev.footprint.is_used(w(4)));
+    }
+
+    #[test]
+    fn invalidating_the_memoized_line_makes_it_miss() {
+        let mut c = l1();
+        let line = LineAddr::new(6);
+        c.fill(line, Footprint::full(8));
+        assert_eq!(c.access(line, w(1), w(1), true), L1Lookup::Hit);
+        let ev = c.invalidate(line).expect("resident");
+        assert!(ev.dirty && ev.footprint.is_used(w(1)));
+        assert_eq!(c.access(line, w(1), w(1), false), L1Lookup::Miss);
+        assert!(!c.fill_words(line, Footprint::full(8)));
+        assert_eq!(c.position_of(line), None);
     }
 
     #[test]

@@ -25,7 +25,10 @@
 
 mod support;
 
-use ldis_cache::{CacheConfig, EvictedLine, SetArena, SetAssocCache, TagEntry};
+use ldis_cache::{
+    CacheConfig, EvictedL1Line, EvictedLine, L1Lookup, SectoredCache, SetArena, SetAssocCache,
+    TagEntry,
+};
 use ldis_distill::{Reverter, ReverterConfig};
 use ldis_mem::bitops::{
     aligned_stride, eligible_aligned_slots, free_aligned_windows, low_mask, span_mask16,
@@ -35,7 +38,7 @@ use ldis_mem::rng::{stable_id, SimRng};
 use ldis_mem::stats::Histogram;
 use ldis_mem::{Footprint, LineAddr, LineGeometry, WordIndex};
 
-use support::{CacheSet, RefEntry};
+use support::{CacheSet, RefEntry, RefSectoredL1};
 
 /// The pre-overhaul reference: a set-associative cache whose sets are the
 /// legacy per-set [`CacheSet`] stacks and whose footprint updates go word
@@ -248,57 +251,354 @@ fn arena_cache_matches_legacy_per_set_model_on_random_traces() {
     assert!(fast_total.total() > 0, "traces must produce evictions");
 }
 
-#[test]
-fn arena_find_promote_victim_match_cache_set() {
-    // Drive the arena and the legacy per-set stack through the same
-    // install/promote sequence; every observable must agree.
-    let mut arena = SetArena::new(2, 4);
-    let mut sets = [CacheSet::new(4), CacheSet::new(4)];
-    for step in 0u64..64 {
-        let set = (step % 2) as usize;
-        let tag = step % 6;
-        let legacy = &mut sets[set];
-        assert_eq!(arena.find(set, tag), legacy.find(tag), "step {step}");
-        match legacy.find(tag) {
-            Some(way) => {
-                assert_eq!(arena.promote(set, way), legacy.promote(way));
-            }
-            None => {
-                let way = legacy.victim_way();
-                assert_eq!(arena.victim_way(set), way);
-                legacy.entry_mut(way).install(tag, false, false);
-                arena.install(set, way, tag, false, false);
-                assert_eq!(arena.promote(set, way), legacy.promote(way));
-            }
+/// Marks every word of `span` used, one word at a time.
+fn touch_bits(e: &mut TagEntry, span: u16) {
+    for w in 0..16 {
+        if span & (1 << w) != 0 {
+            e.touch_word(WordIndex::new(w));
         }
     }
+}
+
+/// One access through the legacy reference set: a hit promotes, observes
+/// the pre-promotion position, touches each word of `span` and marks
+/// writes dirty; a miss installs the victim way, touches the span and
+/// promotes. Returns the way and, on a miss, the displaced entry.
+fn ref_set_access(
+    set: &mut CacheSet,
+    tag: u64,
+    span: u16,
+    write: bool,
+) -> (usize, Option<TagEntry>) {
+    match set.find(tag) {
+        Some(way) => {
+            let pos = set.promote(way);
+            let e = set.entry_mut(way);
+            e.observe_position(pos);
+            touch_bits(e, span);
+            e.dirty |= write;
+            (way, None)
+        }
+        None => {
+            let way = set.victim_way();
+            let victim = *set.entry(way);
+            let e = set.entry_mut(way);
+            e.install(tag, write, false);
+            touch_bits(e, span);
+            set.promote(way);
+            (way, Some(victim))
+        }
+    }
+}
+
+/// The same access through the arena's fused operations.
+fn arena_access(
+    arena: &mut SetArena,
+    set: usize,
+    tag: u64,
+    span: u16,
+    write: bool,
+) -> (usize, Option<TagEntry>) {
+    match arena.hit_update(set, tag, span, write, true) {
+        Some(way) => (way, None),
+        None => {
+            let (way, victim) = arena.install_evict(set, tag, span, write, false);
+            (way, Some(victim))
+        }
+    }
+}
+
+/// Every entry and recency position of the arena equals the reference's.
+fn assert_arena_matches(arena: &SetArena, sets: &[CacheSet], ctx: &str) {
     for (set, legacy) in sets.iter().enumerate() {
-        for way in 0..4 {
-            assert_eq!(arena.entry(set, way), *legacy.entry(way));
-            assert_eq!(arena.position_of(set, way), Some(legacy.position_of(way)));
+        for way in 0..legacy.ways() {
+            assert_eq!(arena.entry(set, way), *legacy.entry(way), "{ctx}");
+            assert_eq!(
+                arena.position_of(set, way),
+                Some(legacy.position_of(way)),
+                "{ctx}"
+            );
+        }
+    }
+}
+
+#[test]
+fn arena_find_promote_victim_match_cache_set() {
+    // Drive the arena's fused hit/merge/install paths and the legacy
+    // per-set stack with scalar `RefEntry` bookkeeping through the same
+    // random accesses and merges at every way count; every find, victim,
+    // displaced entry, footprint latch and recency position must agree.
+    let mut master = SimRng::new(stable_id("arena-fused-vs-cache-set"));
+    for ways in 1..=8u32 {
+        let mut rng = SimRng::new(master.next_u64());
+        let mut arena = SetArena::new(2, ways);
+        let mut sets = [CacheSet::new(ways), CacheSet::new(ways)];
+        for step in 0..400 {
+            let set = rng.range(2) as usize;
+            let tag = rng.range(u64::from(ways) + 3);
+            let first = rng.range(8) as u8;
+            let span = span_mask16(first, first + rng.range(2) as u8);
+            let write = rng.chance(0.3);
+            let ctx = format!("ways {ways} step {step}");
+            let legacy = &mut sets[set];
+            assert_eq!(arena.find(set, tag), legacy.find(tag), "{ctx}");
+            if rng.chance(0.2) {
+                let bits = (rng.next_u64() & 0xff) as u16;
+                let resident = match legacy.find(tag) {
+                    Some(way) => {
+                        let e = legacy.entry_mut(way);
+                        e.merge_footprint(Footprint::from_bits(bits));
+                        e.dirty |= write;
+                        true
+                    }
+                    None => false,
+                };
+                assert_eq!(arena.merge_update(set, tag, bits, write), resident, "{ctx}");
+            } else {
+                assert_eq!(
+                    arena_access(&mut arena, set, tag, span, write),
+                    ref_set_access(legacy, tag, span, write),
+                    "{ctx}"
+                );
+            }
+            assert_arena_matches(&arena, &sets, &ctx);
         }
     }
 }
 
 #[test]
 fn arena_touch_and_merge_latch_positions_like_tag_entry() {
-    let mut arena = SetArena::new(1, 2);
-    let mut reference = TagEntry::invalid();
-    arena.install(0, 0, 9, false, false);
-    reference.install(9, false, false);
-    arena.observe_position(0, 0, 3);
-    reference.observe_position(3);
-    arena.touch_word(0, 0, WordIndex::new(1));
-    reference.touch_word(WordIndex::new(1));
-    arena.observe_position(0, 0, 5);
-    reference.observe_position(5);
-    arena.touch_word(0, 0, WordIndex::new(1)); // not a change
-    reference.touch_word(WordIndex::new(1));
-    assert_eq!(arena.entry(0, 0), reference);
-    arena.merge_footprint(0, 0, Footprint::from_bits(0b110));
-    reference.merge_footprint(Footprint::from_bits(0b110));
-    assert_eq!(arena.entry(0, 0), reference);
-    assert_eq!(arena.entry(0, 0).max_pos_at_change, 5);
+    // The Figure 2 bookkeeping on one 8-way set, scripted so each latch
+    // rule fires: a footprint change latches the maximum position seen so
+    // far, a repeat word does not, and a merge latches only on new bits.
+    let mut arena = SetArena::new(1, 8);
+    let mut sets = [CacheSet::new(8)];
+    let mut step = |tag: u64, span: u16, merge: bool| {
+        if merge {
+            let resident = match sets[0].find(tag) {
+                Some(way) => {
+                    sets[0]
+                        .entry_mut(way)
+                        .merge_footprint(Footprint::from_bits(span));
+                    true
+                }
+                None => false,
+            };
+            assert_eq!(arena.merge_update(0, tag, span, false), resident);
+        } else {
+            assert_eq!(
+                arena_access(&mut arena, 0, tag, span, false),
+                ref_set_access(&mut sets[0], tag, span, false)
+            );
+        }
+        assert_arena_matches(&arena, &sets, &format!("tag {tag} span {span:#b}"));
+        arena.entry(0, 0)
+    };
+    assert_eq!(step(9, 0b1, false).max_pos_at_change, 0); // install, way 0
+    for tag in 10..13 {
+        step(tag, 0b1, false); // tag 9 drifts to position 3
+    }
+    let e = step(9, 0b10, false); // change at position 3
+    assert_eq!((e.max_pos_seen, e.max_pos_at_change), (3, 3));
+    for tag in 13..18 {
+        step(tag, 0b1, false); // tag 9 drifts to position 5
+    }
+    let e = step(9, 0b10, false); // repeat word: observed, no change
+    assert_eq!((e.max_pos_seen, e.max_pos_at_change), (5, 3));
+    let e = step(9, 0b11, true); // merge of covered bits: no change
+    assert_eq!(e.max_pos_at_change, 3);
+    let e = step(9, 0b110, true); // merge with a new bit latches 5
+    assert_eq!(e.max_pos_at_change, 5);
+    assert_eq!(e.footprint.bits(), 0b111);
+}
+
+/// Random valid-word bits of an 8-word line.
+fn random_words(rng: &mut SimRng) -> Footprint {
+    Footprint::from_bits((rng.next_u64() & 0xff) as u16)
+}
+
+/// The outcome of one step of the L1D lockstep, compared side by side.
+#[derive(Debug, PartialEq)]
+enum L1Step {
+    Lookup(L1Lookup),
+    Fill(Option<EvictedL1Line>, L1Lookup),
+    FillWords(bool),
+    Invalidate(Option<EvictedL1Line>),
+    Position(Option<u8>),
+}
+
+/// Drives [`SectoredCache`] and the memo-free [`RefSectoredL1`] through the
+/// same SimRng-derived traces, comparing every lookup result, eviction
+/// record, sector fill and recency position, and at the end every resident
+/// line's valid words, position and eviction record. Traces repeat the
+/// previous line most of the time, as a line visit of the generators does,
+/// and mix in partial-valid fills, both fill paths, sector fills and
+/// invalidations. With `mutated`, the reference behaves as a memo that
+/// survives `invalidate`: the next access to the invalidated line is
+/// classified against its stale valid bits instead of missing. Returns
+/// the number of accesses that repeated the previous line, or the first
+/// disagreement.
+fn l1d_lockstep(mutated: bool) -> Result<u64, String> {
+    let mut repeats = 0;
+    let mut master = SimRng::new(stable_id("l1d-memo-lockstep"));
+    for trace in 0..120 {
+        let mut rng = SimRng::new(master.next_u64());
+        let sets = 1u64 << rng.range(3);
+        let ways = 1 + rng.range(4) as u32;
+        let cfg = CacheConfig::with_sets(sets, ways, LineGeometry::default());
+        let mut fast = SectoredCache::new(cfg);
+        let mut slow = RefSectoredL1::new(cfg);
+        let lines = sets * (u64::from(ways) + 2);
+        let mut prev = LineAddr::new(0);
+        // The mutated reference's stale memo: the line last touched, and
+        // its valid bits once it has been invalidated.
+        let mut last_touched = None;
+        let mut stale: Option<(LineAddr, u16)> = None;
+        for step in 0..1_500 {
+            let line = if rng.chance(0.75) {
+                repeats += 1;
+                prev
+            } else {
+                LineAddr::new(rng.range(lines))
+            };
+            prev = line;
+            let first = rng.range(8) as u8;
+            let last = first + rng.range(u64::from(8 - first).min(3)) as u8;
+            let (first, last) = (WordIndex::new(first), WordIndex::new(last));
+            let span = span_mask16(first.get(), last.get());
+            let write = rng.chance(0.3);
+            let mut steps: Vec<(L1Step, L1Step)> = Vec::new();
+            match rng.range(20) {
+                0 => {
+                    let valid = slow.valid_words(line);
+                    let got = fast.invalidate(line);
+                    steps.push((
+                        L1Step::Invalidate(got),
+                        L1Step::Invalidate(slow.invalidate(line)),
+                    ));
+                    if mutated && last_touched == Some(line) {
+                        stale = valid.map(|v| (line, v));
+                    }
+                }
+                1 => {
+                    let bits = random_words(&mut rng);
+                    steps.push((
+                        L1Step::FillWords(fast.fill_words(line, bits)),
+                        L1Step::FillWords(slow.fill_words(line, bits)),
+                    ));
+                }
+                2 => steps.push((
+                    L1Step::Position(fast.position_of(line)),
+                    L1Step::Position(slow.position_of(line)),
+                )),
+                _ => {
+                    let got = fast.access(line, first, last, write);
+                    let want = match stale {
+                        Some((l, valid)) if l == line => {
+                            if span & !valid == 0 {
+                                L1Lookup::Hit
+                            } else {
+                                L1Lookup::SectorMiss
+                            }
+                        }
+                        _ => slow.access(line, first, last, write),
+                    };
+                    steps.push((L1Step::Lookup(got), L1Step::Lookup(want)));
+                    last_touched = Some(line);
+                    stale = stale.filter(|&(l, _)| l == line);
+                    let mut lookup = got;
+                    if got == L1Lookup::Miss && want == L1Lookup::Miss {
+                        // Half the fills deliver the full line, half a
+                        // partial one that may miss part of the span.
+                        let valid = if rng.chance(0.5) {
+                            Footprint::full(8)
+                        } else {
+                            random_words(&mut rng)
+                        };
+                        let (ev, look) = if rng.chance(0.7) {
+                            (
+                                fast.fill_demand(line, valid, first, last, write),
+                                slow.fill_demand(line, valid, first, last, write),
+                            )
+                        } else {
+                            let fast_ev = fast.fill(line, valid);
+                            let slow_ev = slow.fill(line, valid);
+                            (
+                                (fast_ev, fast.access(line, first, last, write)),
+                                (slow_ev, slow.access(line, first, last, write)),
+                            )
+                        };
+                        lookup = ev.1;
+                        steps.push((L1Step::Fill(ev.0, ev.1), L1Step::Fill(look.0, look.1)));
+                    }
+                    if lookup == L1Lookup::SectorMiss {
+                        // The hierarchy's sector-miss loop: fetch each
+                        // still-invalid word, sometimes with neighbours.
+                        for w in first.get()..=last.get() {
+                            let w = WordIndex::new(w);
+                            let (a, b) = (fast.lookup(line, w, w), slow.lookup(line, w, w));
+                            steps.push((L1Step::Lookup(a), L1Step::Lookup(b)));
+                            if a == L1Lookup::SectorMiss {
+                                let bits = Footprint::from_bits(
+                                    span_mask16(w.get(), w.get()) | random_words(&mut rng).bits(),
+                                );
+                                steps.push((
+                                    L1Step::FillWords(fast.fill_words(line, bits)),
+                                    L1Step::FillWords(slow.fill_words(line, bits)),
+                                ));
+                            }
+                        }
+                    }
+                }
+            }
+            for (got, want) in steps {
+                if got != want {
+                    return Err(format!(
+                        "trace {trace} step {step}: SectoredCache {got:?} vs reference {want:?}"
+                    ));
+                }
+            }
+        }
+        // Final state: every line's valid words, recency position and
+        // eviction record.
+        for raw in 0..lines {
+            let line = LineAddr::new(raw);
+            let mut got = vec![L1Step::Position(fast.position_of(line))];
+            let mut want = vec![L1Step::Position(slow.position_of(line))];
+            for w in 0..8 {
+                let w = WordIndex::new(w);
+                got.push(L1Step::Lookup(fast.lookup(line, w, w)));
+                want.push(L1Step::Lookup(slow.lookup(line, w, w)));
+            }
+            got.push(L1Step::Invalidate(fast.invalidate(line)));
+            want.push(L1Step::Invalidate(slow.invalidate(line)));
+            if got != want {
+                return Err(format!(
+                    "trace {trace} final line {raw}: SectoredCache {got:?} vs reference {want:?}"
+                ));
+            }
+        }
+        if fast.occupancy() != 0 {
+            return Err(format!("trace {trace}: lines left after invalidating all"));
+        }
+    }
+    Ok(repeats)
+}
+
+#[test]
+fn sectored_l1d_matches_memo_free_reference_in_lockstep() {
+    match l1d_lockstep(false) {
+        Ok(repeats) => assert!(repeats > 100_000, "traces must favour same-line runs"),
+        Err(e) => panic!("{e}"),
+    }
+}
+
+#[test]
+fn seeded_l1d_memo_mutation_trips_the_lockstep() {
+    assert!(
+        l1d_lockstep(true).is_err(),
+        "a memo that survives invalidate must be detected"
+    );
 }
 
 /// The reverter of Section 5.5 written out directly: one traditional LRU

@@ -4,11 +4,11 @@
 //! [`RefEntry`] the scalar, word-at-a-time [`TagEntry`] bookkeeping of the
 //! paper's Section 3. The simulator itself runs on the flat
 //! [`SetArena`](ldis_cache::SetArena); these structures are the oracle the
-//! arena, the set-associative cache and the reverter's auxiliary tag
-//! directory are checked against.
+//! arena, the set-associative cache, the sectored L1D and the reverter's
+//! auxiliary tag directory are checked against.
 
-use ldis_cache::TagEntry;
-use ldis_mem::{Footprint, WordIndex};
+use ldis_cache::{CacheConfig, EvictedL1Line, L1Lookup, TagEntry};
+use ldis_mem::{Footprint, LineAddr, WordIndex};
 
 /// The scalar per-entry mutators: install, observe a recency position,
 /// touch one word, merge an external footprint.
@@ -137,6 +137,141 @@ impl CacheSet {
     /// Returns the recency order as way indices, MRU first.
     pub fn recency_order(&self) -> &[u8] {
         &self.order
+    }
+}
+
+/// The sectored L1D of Section 4.2 written out directly: one [`CacheSet`]
+/// per set plus per-way valid-word bits. Every access probes the tags and
+/// promotes the hit way; there is no way memo.
+#[derive(Clone, Debug)]
+pub struct RefSectoredL1 {
+    cfg: CacheConfig,
+    sets: Vec<CacheSet>,
+    /// `valid[set][way]`, bit *i* = word *i* valid.
+    valid: Vec<Vec<u16>>,
+}
+
+impl RefSectoredL1 {
+    /// Creates an empty cache.
+    pub fn new(cfg: CacheConfig) -> Self {
+        let ways = cfg.ways();
+        RefSectoredL1 {
+            cfg,
+            sets: (0..cfg.num_sets()).map(|_| CacheSet::new(ways)).collect(),
+            valid: (0..cfg.num_sets())
+                .map(|_| vec![0; ways as usize])
+                .collect(),
+        }
+    }
+
+    /// The set index, tag and resident way of `line`.
+    fn locate(&self, line: LineAddr) -> (usize, u64, Option<usize>) {
+        let set = self.cfg.set_index(line);
+        let tag = self.cfg.tag(line);
+        (set, tag, self.sets[set].find(tag))
+    }
+
+    fn classify(valid: u16, first: WordIndex, last: WordIndex) -> L1Lookup {
+        if (first.get()..=last.get()).all(|w| valid & (1 << w) != 0) {
+            L1Lookup::Hit
+        } else {
+            L1Lookup::SectorMiss
+        }
+    }
+
+    /// Classifies an access without changing any state.
+    pub fn lookup(&self, line: LineAddr, first: WordIndex, last: WordIndex) -> L1Lookup {
+        match self.locate(line) {
+            (_, _, None) => L1Lookup::Miss,
+            (set, _, Some(way)) => Self::classify(self.valid[set][way], first, last),
+        }
+    }
+
+    /// The valid-word bits of `line`, if resident.
+    pub fn valid_words(&self, line: LineAddr) -> Option<u16> {
+        let (set, _, way) = self.locate(line);
+        way.map(|way| self.valid[set][way])
+    }
+
+    /// Probes, promotes, touches each word of the span and marks writes
+    /// dirty; the lookup result is taken against the valid bits.
+    pub fn access(
+        &mut self,
+        line: LineAddr,
+        first: WordIndex,
+        last: WordIndex,
+        write: bool,
+    ) -> L1Lookup {
+        let (set, _, Some(way)) = self.locate(line) else {
+            return L1Lookup::Miss;
+        };
+        self.sets[set].promote(way);
+        let e = self.sets[set].entry_mut(way);
+        for w in first.get()..=last.get() {
+            e.footprint.touch(WordIndex::new(w));
+        }
+        e.dirty |= write;
+        Self::classify(self.valid[set][way], first, last)
+    }
+
+    /// Installs `line` in the victim way with an empty footprint and the
+    /// given valid words, promoting it to MRU.
+    pub fn fill(&mut self, line: LineAddr, valid_words: Footprint) -> Option<EvictedL1Line> {
+        let (set, tag, resident) = self.locate(line);
+        assert!(resident.is_none(), "filling a resident line");
+        let cache_set = &mut self.sets[set];
+        let way = cache_set.victim_way();
+        let old = *cache_set.entry(way);
+        cache_set.entry_mut(way).install(tag, false, false);
+        cache_set.promote(way);
+        self.valid[set][way] = valid_words.bits();
+        old.valid.then(|| EvictedL1Line {
+            line: self.cfg.line_of(set, old.tag),
+            footprint: old.footprint,
+            dirty: old.dirty,
+        })
+    }
+
+    /// [`fill`](Self::fill) followed by [`access`](Self::access).
+    pub fn fill_demand(
+        &mut self,
+        line: LineAddr,
+        valid_words: Footprint,
+        first: WordIndex,
+        last: WordIndex,
+        write: bool,
+    ) -> (Option<EvictedL1Line>, L1Lookup) {
+        let evicted = self.fill(line, valid_words);
+        (evicted, self.access(line, first, last, write))
+    }
+
+    /// Adds valid words to a resident line.
+    pub fn fill_words(&mut self, line: LineAddr, valid_words: Footprint) -> bool {
+        match self.locate(line) {
+            (set, _, Some(way)) => {
+                self.valid[set][way] |= valid_words.bits();
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Clears the valid bit of `line`, returning its eviction record.
+    pub fn invalidate(&mut self, line: LineAddr) -> Option<EvictedL1Line> {
+        let (set, _, way) = self.locate(line);
+        let e = self.sets[set].entry_mut(way?);
+        e.valid = false;
+        Some(EvictedL1Line {
+            line,
+            footprint: e.footprint,
+            dirty: e.dirty,
+        })
+    }
+
+    /// The recency position of `line` (0 = MRU), if resident.
+    pub fn position_of(&self, line: LineAddr) -> Option<u8> {
+        let (set, _, way) = self.locate(line);
+        way.map(|way| self.sets[set].position_of(way))
     }
 }
 
